@@ -25,7 +25,7 @@ use std::ptr::{self, NonNull};
 use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 use std::sync::Arc;
 
-use clof_locks::Backoff;
+use clof_locks::poll_until;
 use clof_topology::{CpuId, Hierarchy};
 
 /// Hand-offs within one NUMA node before the secondary queue is flushed.
@@ -132,10 +132,7 @@ impl CnaLock {
         }
         // SAFETY: Predecessor is alive until it observes our link.
         unsafe { (*pred).next.store(node.as_ptr(), Ordering::Release) };
-        let mut backoff = Backoff::new();
-        while n.spin.load(Ordering::Acquire) == 0 {
-            backoff.snooze();
-        }
+        poll_until(|| n.spin.load(Ordering::Acquire) != 0);
     }
 
     fn release(&self, node: NonNull<CnaNode>) {
@@ -274,14 +271,12 @@ impl CnaLock {
             }
         }
         // A successor enqueued concurrently; wait for the link.
-        let mut backoff = Backoff::new();
-        loop {
-            let next = n.next.load(Ordering::Acquire);
-            if let Some(next) = NonNull::new(next) {
-                return Some(next);
-            }
-            backoff.snooze();
-        }
+        let mut next = ptr::null_mut();
+        poll_until(|| {
+            next = n.next.load(Ordering::Acquire);
+            !next.is_null()
+        });
+        NonNull::new(next)
     }
 }
 

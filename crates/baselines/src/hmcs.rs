@@ -90,12 +90,11 @@ impl HmcsLevel {
             // SAFETY: `pred` stays alive until its owner observes our link
             // (see the MCS argument in `clof-locks`).
             unsafe { (*pred).next.store(node.as_ptr(), Ordering::Release) };
-            let mut backoff = clof_locks::Backoff::new();
-            let mut status = n.status.load(Ordering::Acquire);
-            while status == WAIT {
-                backoff.snooze();
+            let mut status = WAIT;
+            clof_locks::poll_until(|| {
                 status = n.status.load(Ordering::Acquire);
-            }
+                status != WAIT
+            });
             if self.parent.is_none() {
                 // Root level: any signal is the lock itself.
                 return;
@@ -130,14 +129,10 @@ impl HmcsLevel {
             {
                 return;
             }
-            let mut backoff = clof_locks::Backoff::new();
-            loop {
+            clof_locks::poll_until(|| {
                 succ = n.next.load(Ordering::Acquire);
-                if !succ.is_null() {
-                    break;
-                }
-                backoff.snooze();
-            }
+                !succ.is_null()
+            });
         }
         // SAFETY: The successor is alive: it is spinning on its node.
         unsafe { (*succ).status.store(val, Ordering::Release) };

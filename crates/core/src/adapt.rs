@@ -857,24 +857,33 @@ mod tests {
         let lock = Arc::new(AdaptiveLock::new(&hierarchy(), &MCT).unwrap());
         let counter = Arc::new(std::sync::Mutex::new(0u64));
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        // Set once the swapper has finished a migration. Workers run at
+        // least `iters` ops and keep going until then, so "at least one
+        // swap happened under load" does not race the workers finishing.
+        let swapped = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let threads = 4;
         let iters = 2_000u64;
         let mut workers = Vec::new();
         for t in 0..threads {
             let lock = Arc::clone(&lock);
             let counter = Arc::clone(&counter);
+            let swapped = Arc::clone(&swapped);
             workers.push(std::thread::spawn(move || {
                 let mut h = lock.handle(t * 2);
-                for _ in 0..iters {
+                let mut ops = 0u64;
+                while ops < iters || !swapped.load(SeqCst) {
                     h.acquire();
                     *counter.lock().unwrap() += 1;
                     h.release();
+                    ops += 1;
                 }
+                ops
             }));
         }
         let swapper = {
             let lock = Arc::clone(&lock);
             let stop = Arc::clone(&stop);
+            let swapped = Arc::clone(&swapped);
             std::thread::spawn(move || {
                 let shapes: [&[LockKind]; 3] = [&TKT3, &HEM3, &MCT];
                 let mut i = 0usize;
@@ -883,18 +892,18 @@ mod tests {
                     i = (i + 1) % shapes.len();
                     if lock.swap_to(shapes[i]).unwrap() {
                         swaps += 1;
+                        swapped.store(true, SeqCst);
                     }
                     std::thread::yield_now();
                 }
                 swaps
             })
         };
-        for w in workers {
-            w.join().unwrap();
-        }
+        let ops: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
         stop.store(true, SeqCst);
         let swaps = swapper.join().unwrap();
-        assert_eq!(*counter.lock().unwrap(), threads as u64 * iters);
+        assert!(ops >= threads as u64 * iters);
+        assert_eq!(*counter.lock().unwrap(), ops);
         assert!(swaps > 0, "swapper must have migrated at least once");
         assert_eq!(lock.migration_stats().swaps, swaps);
     }

@@ -10,11 +10,13 @@
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
 use crate::pad::CachePadded;
+#[cfg(any(not(feature = "park"), feature = "deadline"))]
+use crate::park::poll_until;
 #[cfg(feature = "park")]
 use crate::park::ParkSpot;
 use crate::park::SPIN_FOREVER;
 use crate::raw::{LockInfo, RawLock};
-#[cfg(any(not(feature = "park"), feature = "deadline"))]
+#[cfg(feature = "deadline")]
 use crate::spin::Backoff;
 
 /// Maximum concurrent threads per [`AndersonLock`].
@@ -108,10 +110,7 @@ impl AndersonLock {
         #[cfg(not(feature = "park"))]
         {
             let _ = budget;
-            let mut backoff = Backoff::new();
-            while !self.flags[slot].load(Ordering::Acquire) {
-                backoff.snooze();
-            }
+            poll_until(|| self.flags[slot].load(Ordering::Acquire));
         }
         // Reset our flag for the next lap of the ring.
         self.flags[slot].store(false, Ordering::Relaxed);
@@ -171,10 +170,7 @@ impl AndersonLock {
         // Buried behind a younger waiter: our slot grant is committed,
         // so wait it out and pass the turn straight through.
         crate::chaos::point("and-hand-forward");
-        let mut backoff = Backoff::new();
-        while !self.flags[slot].load(Ordering::Acquire) {
-            backoff.snooze();
-        }
+        poll_until(|| self.flags[slot].load(Ordering::Acquire));
         self.flags[slot].store(false, Ordering::Relaxed);
         ctx.slot = slot;
         self.release(ctx);

@@ -19,7 +19,12 @@
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+#[cfg(not(feature = "deadline"))]
+use crate::park::poll_until;
+#[cfg(feature = "deadline")]
+use crate::park::{Waiter, SPIN_FOREVER};
 use crate::raw::{LockInfo, RawLock};
+#[cfg(feature = "deadline")]
 use crate::spin::Backoff;
 
 /// The shared cell of a Hemlock context: a single `grant` word.
@@ -207,12 +212,9 @@ impl<const CTR: bool> HemlockGeneric<CTR> {
         // release spins until our acknowledgement below, so the cell stays
         // alive (and its context may not be dropped) until then.
         let pred_grant = unsafe { &(*(pred as *const HemCell)).grant };
-        let mut backoff = Backoff::new();
         // Acquire pairs with the releaser's Release publication of the
         // token, ordering the critical sections.
-        while Self::grant_load(pred_grant, Ordering::Acquire) != token {
-            backoff.snooze();
-        }
+        poll_until(|| Self::grant_load(pred_grant, Ordering::Acquire) == token);
         // Acknowledge: reset the predecessor's grant so it can proceed and
         // reuse its cell. Release so the (relaxed) observer cannot see the
         // reset reordered before our spin completed.
@@ -234,7 +236,7 @@ impl<const CTR: bool> HemlockGeneric<CTR> {
         let token = self.lock_token();
         crate::chaos::point("hem-acquire-queued");
         let mut pred = pred as *mut HemCell;
-        let mut backoff = Backoff::new();
+        let mut waiter = Waiter::new(SPIN_FOREVER);
         loop {
             // SAFETY: `pred` is either a live cell (owner cannot retire
             // it until acknowledged) or a sentinel we now uniquely own.
@@ -246,7 +248,7 @@ impl<const CTR: bool> HemlockGeneric<CTR> {
             if g == token && Self::grant_cas(unsafe { &(*pred).grant }, token, 0) {
                 return;
             }
-            backoff.snooze();
+            waiter.spin();
         }
     }
 
@@ -267,13 +269,10 @@ impl<const CTR: bool> HemlockGeneric<CTR> {
         crate::chaos::point("hem-release-pre-grant");
         // Publish the grant: our successor identifies the lock by address.
         Self::grant_store(grant, self.lock_token(), Ordering::Release);
-        let mut backoff = Backoff::new();
         // Wait for the successor's acknowledgement (reset to 0); this is
         // the wait the CTR optimization targets on x86 and the one that
         // livelocks under LL/SC interference on Armv8 (simulated, §3.2).
-        while Self::grant_load(grant, Ordering::Acquire) != 0 {
-            backoff.snooze();
-        }
+        poll_until(|| Self::grant_load(grant, Ordering::Acquire) == 0);
     }
 
     /// Deadline-build release: the acknowledgement wait must not strand
@@ -297,7 +296,7 @@ impl<const CTR: bool> HemlockGeneric<CTR> {
         let grant = unsafe { &(*ctx.cell.as_ptr()).grant };
         crate::chaos::point("hem-release-pre-grant");
         Self::grant_store(grant, self.lock_token(), Ordering::Release);
-        let mut backoff = Backoff::new();
+        let mut waiter = Waiter::new(SPIN_FOREVER);
         loop {
             if Self::grant_load(grant, Ordering::Acquire) == 0 {
                 return;
@@ -318,7 +317,7 @@ impl<const CTR: bool> HemlockGeneric<CTR> {
                 // would mistake our own retraction for its ack.
                 Self::grant_store(grant, self.lock_token(), Ordering::Release);
             }
-            backoff.snooze();
+            waiter.spin();
         }
     }
 

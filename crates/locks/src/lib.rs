@@ -41,8 +41,11 @@
 //!
 //! The paper evaluates on dedicated servers with pinned threads. This
 //! library is also meant to run tests on small or oversubscribed hosts, so
-//! every spin loop uses [`Backoff`]: bounded `spin_loop` hints first, then
-//! `std::thread::yield_now`. See `DESIGN.md` §6.
+//! every spin loop issues a bounded number of `spin_loop` hints first and
+//! then `std::thread::yield_now`. Waiters on a shared word (ticket, TTAS,
+//! TAS+backoff) space their polls out with [`Backoff`]; waiters on a word
+//! only they read (queue nodes, Hemlock grant cells, Anderson slots) poll
+//! after every hint with [`Waiter`]. See `DESIGN.md` §6.
 
 #![warn(missing_docs)]
 
@@ -71,7 +74,7 @@ pub use mcs::{McsContext, McsLock};
 pub use pad::{CachePadded, CACHE_LINE};
 #[cfg(feature = "park")]
 pub use park::{ParkSpot, PARK_MARKER};
-pub use park::{Waiter, WaitWord, SPIN_FOREVER};
+pub use park::{poll_until, WaitWord, Waiter, SPIN_FOREVER};
 pub use raw::{LockInfo, NoContext, RawLock};
 pub use spin::Backoff;
 pub use ticket::TicketLock;

@@ -5,9 +5,8 @@ use std::sync::atomic::{AtomicPtr, Ordering};
 
 #[cfg(feature = "deadline")]
 use crate::park::ABANDONED;
-use crate::park::{WaitWord, SPIN_FOREVER};
+use crate::park::{poll_until, WaitWord, SPIN_FOREVER};
 use crate::raw::{LockInfo, RawLock};
-use crate::spin::Backoff;
 
 /// A node in the MCS queue.
 ///
@@ -222,14 +221,10 @@ impl RawLock for McsLock {
             // A successor swapped the tail but has not linked yet; wait
             // for the link (it arrives promptly: the successor's very
             // next step is the `next` store — this loop never parks).
-            let mut backoff = Backoff::new();
-            loop {
+            poll_until(|| {
                 next = node_ref.next.load(Ordering::Acquire);
-                if !next.is_null() {
-                    break;
-                }
-                backoff.snooze();
-            }
+                !next.is_null()
+            });
         }
         // SAFETY: `next` is a queue node whose owner waits on its
         // `locked` word and therefore keeps it alive until this release
@@ -272,14 +267,10 @@ impl RawLock for McsLock {
                     }
                     return;
                 }
-                let mut backoff = Backoff::new();
-                loop {
+                poll_until(|| {
                     next = node_ref.next.load(Ordering::Acquire);
-                    if !next.is_null() {
-                        break;
-                    }
-                    backoff.snooze();
-                }
+                    !next.is_null()
+                });
             }
             // SAFETY: As the plain release; the Acquire `next` read
             // ordered us after the enqueuer's one-shot link store, so

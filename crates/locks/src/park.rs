@@ -8,12 +8,15 @@
 //! a bounded budget, then block in the kernel — while keeping the
 //! default build bit-for-bit free of it:
 //!
-//! * [`Waiter`] — the budget accountant: one bounded spin phase
-//!   (exponential [`Backoff`] rounds) before the caller may park.
+//! * [`Waiter`] — the wait policy for a word only its waiter reads: an
+//!   endless budget polls after every `spin_loop` hint (then yields),
+//!   a finite budget is one bounded spin phase (exponential [`Backoff`]
+//!   rounds) before the caller may park.
 //! * [`WaitWord`] — a one-waiter wait/grant word for the queue locks
 //!   (MCS/CLH node words): the waiter spins, then sets a `PARKED` bit
 //!   and sleeps on the word; the releaser swaps in `GO` and wakes the
-//!   word only if the swapped-out value carried the bit. The wake takes
+//!   word only if the swapped-out value carried the bit (without `park`
+//!   the grant is a plain `Release` store). The wake takes
 //!   only the *address*, never dereferencing the (possibly already
 //!   recycled) node — see [`WaitWord::release_raw`].
 //! * [`ParkSpot`] — an eventcount for the polling locks (ticket, TTAS,
@@ -31,10 +34,13 @@
 //!
 //! Without the `park` feature the types still exist (the queue locks
 //! embed [`WaitWord`] unconditionally), but every budget is effectively
-//! [`SPIN_FOREVER`], no parking code is compiled, and a wait compiles to
-//! the same load-and-[`Backoff`] loop the crate always had.
+//! [`SPIN_FOREVER`] and no parking code is compiled: a wait compiles to
+//! a load after every `spin_loop` hint (yielding once the spin phase is
+//! over), and a grant to one `Release` store.
 
+use std::hint;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::thread;
 
 use crate::spin::Backoff;
 
@@ -75,12 +81,25 @@ pub fn has_asym_barrier() -> bool {
 // Waiter: the spin-budget accountant.
 // ---------------------------------------------------------------------
 
-/// Tracks one bounded spin phase before its owner is allowed to park.
+/// The wait policy for a word only its waiter reads (queue-lock node
+/// words, Hemlock grant cells, Anderson slots), and the spin-budget
+/// accountant before parking.
 ///
-/// [`Waiter::spin`] burns exponential-backoff rounds while the budget
-/// lasts and reports when it is exhausted; the caller then parks (with
-/// the `park` feature) or keeps spinning (without it, budgets are always
-/// [`SPIN_FOREVER`], so exhaustion never happens).
+/// * An endless [`SPIN_FOREVER`] budget polls after every
+///   [`spin_loop`](core::hint::spin_loop) hint for 255 rounds, then
+///   calls [`yield_now`](std::thread::yield_now) between polls. Nobody
+///   else reads the word, so there is no crowd for a backoff to thin
+///   out, and a grant is noticed within one hint instead of within one
+///   [`Backoff`] burst. The spin phase lasts as many hints as
+///   `Backoff`'s does (1 + 2 + … + 128), so a waiter on an
+///   oversubscribed host yields to the holder just as soon.
+/// * A finite budget (the `park` feature's per-level budgets) burns
+///   that many exponential-backoff rounds and then reports exhaustion —
+///   the signal to park. Without `park` every wait passes
+///   `SPIN_FOREVER`, so exhaustion never happens.
+///
+/// Waiters on a *shared* word (ticket, TTAS, TAS+backoff) use
+/// [`Backoff`] directly.
 #[derive(Debug)]
 pub struct Waiter {
     backoff: Backoff,
@@ -89,14 +108,18 @@ pub struct Waiter {
 }
 
 impl Waiter {
+    /// Polls a [`SPIN_FOREVER`] waiter makes, one `spin_loop` hint
+    /// apart, before it starts yielding: the number of hints a default
+    /// [`Backoff`] burns before its first yield.
+    const POLLS_BEFORE_YIELD: u32 = (2 << Backoff::SPIN_LIMIT) - 1;
+
     /// A fresh waiter with `budget` spin rounds before parking.
     ///
-    /// The burst ceiling of the underlying [`Backoff`] is derived from
-    /// the budget: a waiter with only a handful of rounds before it
-    /// parks (a cross-socket waiter at a contended level) caps its
-    /// bursts low, so it never sits in a long `spin_loop` burst while
-    /// the grant it is about to miss goes by. An infinite budget keeps
-    /// the default ceiling.
+    /// For a finite budget the burst ceiling of the underlying
+    /// [`Backoff`] is derived from the budget: a waiter with only a
+    /// handful of rounds before it parks (a cross-socket waiter at a
+    /// contended level) caps its bursts low, so it never sits in a long
+    /// `spin_loop` burst while the grant it is about to miss goes by.
     #[inline]
     pub fn new(budget: u32) -> Self {
         let backoff = if budget == SPIN_FOREVER {
@@ -113,19 +136,37 @@ impl Waiter {
         }
     }
 
-    /// Burns one backoff round. Returns `false` once the budget is
-    /// exhausted — the signal to park. A [`SPIN_FOREVER`] budget never
-    /// exhausts.
+    /// Waits one round before the caller's next poll. Returns `false`
+    /// once a finite budget is exhausted — the signal to park. A
+    /// [`SPIN_FOREVER`] budget never exhausts.
     #[inline]
     pub fn spin(&mut self) -> bool {
+        if self.budget == SPIN_FOREVER {
+            if self.spins < Self::POLLS_BEFORE_YIELD {
+                self.spins += 1;
+                hint::spin_loop();
+            } else {
+                thread::yield_now();
+            }
+            return true;
+        }
         if self.spins >= self.budget {
             return false;
         }
-        if self.budget != SPIN_FOREVER {
-            self.spins += 1;
-        }
+        self.spins += 1;
         self.backoff.snooze();
         true
+    }
+
+    /// Whether the next [`spin`](Waiter::spin) yields the CPU instead
+    /// of issuing `spin_loop` hints.
+    #[cfg(test)]
+    fn is_yielding(&self) -> bool {
+        if self.budget == SPIN_FOREVER {
+            self.spins >= Self::POLLS_BEFORE_YIELD
+        } else {
+            self.backoff.is_yielding()
+        }
     }
 
     /// Restarts the spin phase (after a wake, before re-checking a
@@ -134,6 +175,18 @@ impl Waiter {
     pub fn reset(&mut self) {
         self.spins = 0;
         self.backoff.reset();
+    }
+}
+
+/// Spins until `cond` returns `true`, using [`Waiter`]'s private-word
+/// policy: a poll after every `spin_loop` hint, then yields. For
+/// conditions on a word only the caller reads; a shared word belongs
+/// with [`spin_until`](crate::spin::spin_until).
+#[inline]
+pub fn poll_until(mut cond: impl FnMut() -> bool) {
+    let mut waiter = Waiter::new(SPIN_FOREVER);
+    while !cond() {
+        waiter.spin();
     }
 }
 
@@ -166,11 +219,12 @@ pub(crate) const ABANDONED: u32 = 4;
 ///
 /// Protocol: the owner-to-be [`prime`](WaitWord::prime)s the word, links
 /// it into the queue, and [`wait`](WaitWord::wait)s; the releaser calls
-/// [`release_raw`](WaitWord::release_raw), which swaps in `GO` with
-/// `Release` ordering and, if the swapped-out value carried
-/// `PARKED_BIT`, wakes the address. The swap is safe because the waiter
-/// cannot free its node before observing `GO` (that observation is the
-/// very thing the swap causes); the wake after it never dereferences.
+/// [`release_raw`](WaitWord::release_raw), which publishes `GO` with
+/// `Release` ordering and, with the `park` feature, wakes the address
+/// if the swapped-out value carried `PARKED_BIT`. The grant is safe
+/// because the waiter cannot free its node before observing `GO` (that
+/// observation is the very thing the grant causes); the wake after it
+/// never dereferences.
 #[derive(Debug)]
 #[repr(transparent)]
 pub struct WaitWord(AtomicU32);
@@ -205,8 +259,8 @@ impl WaitWord {
     ///
     /// Without the `park` feature there is nothing to do when a budget
     /// exhausts, so any finite budget is treated as [`SPIN_FOREVER`]:
-    /// the loop always keeps its [`Backoff`] instead of degenerating
-    /// into a tight load.
+    /// the loop polls after every `spin_loop` hint and yields once the
+    /// spin phase is over (see [`Waiter`]).
     #[inline]
     pub fn wait(&self, budget: u32) {
         let budget = if cfg!(feature = "park") {
@@ -267,27 +321,30 @@ impl WaitWord {
         stats::on_unpark(t0.elapsed());
     }
 
-    /// Owner-side release through a raw pointer: swaps in `GO`
-    /// (`Release`) and wakes the address if the swapped-out value said a
-    /// waiter parked.
+    /// Owner-side release through a raw pointer: publishes `GO` with
+    /// `Release` ordering. With the `park` feature the publication is a
+    /// swap, and the address is woken if the swapped-out value said a
+    /// waiter parked. Without it a waiter never writes the word it waits
+    /// on, so a plain store suffices. (An MCS waiter that may abandon
+    /// its own word is granted through the `deadline` build's
+    /// `grant_raw` swap instead.)
     ///
     /// # Safety
     ///
     /// `this` must point to a live `WaitWord` *at the moment of the
-    /// call*. Immediately after the internal swap the pointee may be
-    /// freed or recycled by the woken thread (MCS successors free their
-    /// node when their context drops); that is fine — the wake syscall
-    /// takes only the address and the kernel never dereferences a
-    /// `FUTEX_WAKE` target.
+    /// call*. Immediately after the grant the pointee may be freed or
+    /// recycled by the woken thread (MCS successors free their node when
+    /// their context drops); that is fine — the wake syscall takes only
+    /// the address and the kernel never dereferences a `FUTEX_WAKE`
+    /// target.
     #[inline]
     pub unsafe fn release_raw(this: *const WaitWord) {
-        let prev = (*this).0.swap(GO, Ordering::Release);
         #[cfg(feature = "park")]
-        if prev & PARKED_BIT != 0 {
+        if (*this).0.swap(GO, Ordering::Release) & PARKED_BIT != 0 {
             Self::wake_raw(this);
         }
         #[cfg(not(feature = "park"))]
-        let _ = prev;
+        (*this).0.store(GO, Ordering::Release);
     }
 
     #[cfg(feature = "park")]
@@ -527,6 +584,12 @@ impl ParkSpot {
     /// [`wake_all`]: ParkSpot::wake_all
     #[inline]
     pub fn wait_until(&self, budget: u32, mut cond: impl FnMut() -> bool) {
+        if budget == SPIN_FOREVER {
+            // An endless budget never parks. The spot's lock may be one
+            // whose waiters share the polled word (ticket, TTAS), so
+            // keep the shared-word policy rather than `Waiter`'s.
+            return crate::spin::spin_until(cond);
+        }
         let mut waiter = Waiter::new(budget);
         loop {
             if cond() {
@@ -1169,6 +1232,55 @@ mod tests {
         for _ in 0..10_000 {
             assert!(w.spin());
         }
+    }
+
+    #[test]
+    fn spin_forever_waiter_polls_every_pause_then_yields() {
+        // One poll per `spin_loop` hint for exactly as many hints as a
+        // default `Backoff` burns before its first yield (1+2+…+128).
+        let backoff_hints: u32 = (0..=Backoff::SPIN_LIMIT).map(|step| 1 << step).sum();
+        assert_eq!(Waiter::POLLS_BEFORE_YIELD, backoff_hints);
+        assert_eq!(Waiter::POLLS_BEFORE_YIELD, 255);
+        let mut w = Waiter::new(SPIN_FOREVER);
+        for poll in 0..Waiter::POLLS_BEFORE_YIELD {
+            assert!(!w.is_yielding(), "yielded early, before poll {poll}");
+            assert!(w.spin());
+        }
+        assert!(w.is_yielding(), "the first yield comes after poll 255");
+        assert!(w.spin(), "an endless budget never exhausts");
+        w.reset();
+        assert!(!w.is_yielding(), "reset restarts the poll phase");
+    }
+
+    #[test]
+    fn finite_budget_waiter_keeps_its_backoff_rounds() {
+        // The `park` path: a finite budget is still counted in
+        // exponential-backoff rounds, with the burst ceiling derived
+        // from the budget (budget 4 → bursts ≤ 2^3, so the fifth round
+        // would yield; budget 1000 → the default ceiling 2^7).
+        for (budget, ceiling) in [(4u32, 3u32), (64, 7), (1000, 7)] {
+            let mut w = Waiter::new(budget);
+            for round in 0..budget {
+                assert_eq!(
+                    w.is_yielding(),
+                    round > ceiling,
+                    "budget {budget}, round {round}"
+                );
+                assert!(w.spin(), "budget {budget} lasts {budget} rounds");
+            }
+            assert!(!w.spin(), "budget {budget} exhausts after {budget} rounds");
+        }
+    }
+
+    #[cfg(not(feature = "park"))]
+    #[test]
+    fn release_raw_leaves_the_word_go() {
+        let word = WaitWord::new_wait();
+        unsafe { WaitWord::release_raw(&word) };
+        assert_eq!(word.0.load(Ordering::Relaxed), GO);
+        word.prime();
+        unsafe { WaitWord::release_raw(&word) };
+        assert!(word.is_go(), "a re-armed word is granted again");
     }
 
     #[test]

@@ -1,9 +1,18 @@
 //! Spin-wait policy shared by all locks in this crate.
+//!
+//! Two kinds of waiter need two policies. A waiter on a *shared* word
+//! (ticket grant, TTAS/TAS lock word) backs off with [`Backoff`], so a
+//! crowd of pollers does not hammer the line the releaser must write.
+//! A waiter on a word *only it reads* (an MCS/CLH node word, a Hemlock
+//! grant cell, an Anderson slot) has no crowd to thin out; it polls
+//! after every pause with [`Waiter`](crate::park::Waiter) so it notices
+//! its grant within one `PAUSE`.
 
 use std::hint;
 use std::thread;
 
-/// Exponential spin backoff that degrades to yielding.
+/// Exponential spin backoff that degrades to yielding — the wait policy
+/// for *shared-word* spinners (ticket, TTAS, TAS+backoff).
 ///
 /// The paper's evaluation pins one thread per CPU on idle servers, where
 /// pure spinning is appropriate. This library must also behave on
@@ -13,6 +22,12 @@ use std::thread;
 /// [`core::hint::spin_loop`] for exponentially growing bursts and, once
 /// the burst limit is reached, calls [`std::thread::yield_now`] so the
 /// holder can make progress.
+///
+/// The growing bursts thin out the polls of many waiters on one word,
+/// at the price of noticing a release up to a whole burst late (128
+/// `spin_loop` hints at the default ceiling). A waiter that spins on a
+/// word nobody else reads should use [`Waiter`](crate::park::Waiter)
+/// instead, which polls after every hint.
 ///
 /// # Examples
 ///
@@ -34,7 +49,7 @@ pub struct Backoff {
 
 impl Backoff {
     /// Default maximum exponent: bursts of up to `2^SPIN_LIMIT` spin hints.
-    const SPIN_LIMIT: u32 = 7;
+    pub(crate) const SPIN_LIMIT: u32 = 7;
 
     /// Creates a fresh backoff in its shortest-burst state.
     #[inline]
@@ -86,7 +101,8 @@ impl Default for Backoff {
     }
 }
 
-/// Spins until `cond` returns `true`, using [`Backoff`].
+/// Spins until `cond` returns `true`, using [`Backoff`] (the shared-word
+/// policy).
 #[inline]
 pub fn spin_until(mut cond: impl FnMut() -> bool) {
     let mut backoff = Backoff::new();

@@ -3,7 +3,10 @@
 #
 # Runs, in order:
 #   1. tier-1: `cargo build --release && cargo test -q` (root package);
-#   2. the clof-testkit unit suite (property engine + oracle self-tests);
+#   2. the clof-testkit unit suite (property engine + oracle self-tests)
+#      and the default-feature unit suites of clof-locks, clof-core and
+#      clof-kvstore (the default grant path — a plain store, polled after
+#      every pause — is neither the `park` nor the `deadline` one);
 #   3. a 16-seed smoke subset of the schedule-fuzzing stress oracle;
 #   4. the default-build `clof` binary, asserted free of tracer symbols
 #      (the "traceEvents" exporter string only exists behind `obs`) —
@@ -77,6 +80,9 @@ phase() {
 phase "tier-1 release build" cargo build --release
 phase "tier-1 test suite" cargo test -q
 phase "testkit unit suite" cargo test -q -p clof-testkit
+phase "default locks unit suite" cargo test -q -p clof-locks
+phase "default core suite" cargo test -q -p clof-core
+phase "default kvstore suite" cargo test -q -p clof-kvstore
 
 # Memory-layout assertions are `const _: () = assert!(...)` blocks in
 # clof-locks (CachePadded, lock-word padding) and clof-core (LevelMeta
