@@ -5,214 +5,19 @@
 //! the high lock — either another `Clof` or a [`Leaf`] basic lock. The
 //! recursion unfolds during monomorphization, so a composed acquire is a
 //! chain of inlined calls with no virtual dispatch, mirroring the paper's
-//! C-macro unfolding of `lockgen` (Figure 8).
+//! C-macro unfolding of `lockgen` (Figure 8). Each level's step is the
+//! shared body in `crate::protocol`, which the dynamic tree runs too.
 
 use std::sync::Arc;
-#[cfg(feature = "park")]
-use std::sync::atomic::{AtomicU32, Ordering};
 
 use clof_locks::RawLock;
 use clof_topology::Hierarchy;
 
 use crate::error::ClofError;
-use crate::level::{ClofParams, LevelMeta};
-
-/// Telemetry plumbing for the static composition, paired exactly like
-/// `dynlock::nodeobs`: with the `obs` feature off every type here is
-/// zero-sized and every method an empty `#[inline]` body, so call sites
-/// carry no `cfg` noise and the default build carries no symbols.
-///
-/// The static side records counters and trace spans; latency histograms
-/// and the pass-event ring stay dynamic-only (monomorphized nodes have
-/// no lock-wide collector to hang them on).
-#[cfg(feature = "obs")]
-mod staticobs {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    use clof_obs::trace::{self, SpanKind};
-    use clof_obs::{now_ns, thread_tag, watchdog, LevelCounters};
-
-    /// Per-node recording state: counters plus the tracer's level/node
-    /// identity and the hand-off flow cell.
-    #[derive(Debug)]
-    pub struct NodeObs {
-        /// Hierarchy level; 0 until the builder tags it via
-        /// [`set_level`](Self::set_level) (type recursion alone cannot
-        /// know its distance from the root).
-        level: u8,
-        /// Process-unique cohort tag ([`trace::node_tag`]).
-        node: u32,
-        /// Flow id parked by a pass for its inheritor; travels through
-        /// the low lock's release→acquire edge like the pass flag.
-        flow: AtomicU64,
-        pub(super) counters: LevelCounters,
-    }
-
-    impl Default for NodeObs {
-        fn default() -> Self {
-            NodeObs {
-                level: 0,
-                node: trace::node_tag(),
-                flow: AtomicU64::new(0),
-                counters: LevelCounters::new(),
-            }
-        }
-    }
-
-    impl NodeObs {
-        pub(super) fn set_level(&mut self, level: usize) {
-            self.level = level as u8;
-        }
-
-        /// Timestamp taken before the low-lock acquire; 0 when tracing
-        /// is off (the static side has no latency histogram to feed).
-        #[inline]
-        pub(super) fn start(&self) -> u64 {
-            if trace::is_enabled() {
-                now_ns()
-            } else {
-                0
-            }
-        }
-
-        #[inline]
-        pub(super) fn record_acquire(&self, inherited: bool, start: u64) {
-            self.counters.record_acquire(inherited);
-            if trace::is_enabled() && start != 0 {
-                let flow_in = if inherited {
-                    self.flow.swap(0, Ordering::Relaxed)
-                } else {
-                    0
-                };
-                trace::record(
-                    start,
-                    now_ns(),
-                    self.level,
-                    self.node,
-                    SpanKind::Wait { inherited },
-                    flow_in,
-                    0,
-                );
-            }
-        }
-
-        #[inline]
-        pub(super) fn record_pass(&self) {
-            self.counters.record_pass_taken();
-            if trace::is_enabled() {
-                let at = now_ns();
-                let flow = trace::next_flow_id();
-                self.flow.store(flow, Ordering::Relaxed);
-                trace::record(at, at, self.level, self.node, SpanKind::Pass, 0, flow);
-            }
-        }
-
-        #[inline]
-        pub(super) fn record_release_up(&self, forced: bool) {
-            self.counters.record_pass_declined(forced);
-            if trace::is_enabled() {
-                let at = now_ns();
-                trace::record(
-                    at,
-                    at,
-                    self.level,
-                    self.node,
-                    SpanKind::ReleaseUp { forced },
-                    0,
-                    0,
-                );
-            }
-        }
-
-        #[inline]
-        pub(super) fn record_hint_hit(&self) {
-            self.counters.record_hint_hit();
-        }
-    }
-
-    /// Whole-lock hold span + watchdog progress, carried per handle.
-    #[derive(Debug, Default)]
-    pub struct HoldSpan {
-        acquired_at: u64,
-    }
-
-    impl HoldSpan {
-        #[inline]
-        pub(super) fn waiting(&mut self) {
-            watchdog::note_wait(thread_tag());
-        }
-
-        #[inline]
-        pub(super) fn acquired(&mut self) {
-            watchdog::note_hold(thread_tag());
-            self.acquired_at = if trace::is_enabled() { now_ns() } else { 0 };
-        }
-
-        #[inline]
-        pub(super) fn released(&mut self) {
-            if trace::is_enabled() && self.acquired_at != 0 {
-                trace::record(self.acquired_at, now_ns(), 0, 0, SpanKind::Hold, 0, 0);
-            }
-            watchdog::note_idle(thread_tag());
-        }
-
-        /// The composed acquire timed out: nothing was acquired, so the
-        /// watchdog sees idle (not hold) and the attempt lands in the
-        /// process-wide timeout count.
-        #[cfg(feature = "deadline")]
-        #[inline]
-        pub(super) fn wait_abandoned(&mut self) {
-            watchdog::note_idle(thread_tag());
-            clof_obs::deadline::record_timeout();
-        }
-    }
-}
-
-#[cfg(not(feature = "obs"))]
-mod staticobs {
-    #[derive(Debug, Default)]
-    pub struct NodeObs;
-
-    impl NodeObs {
-        #[inline(always)]
-        pub(super) fn set_level(&mut self, _level: usize) {}
-
-        #[inline(always)]
-        pub(super) fn start(&self) -> u64 {
-            0
-        }
-
-        #[inline(always)]
-        pub(super) fn record_acquire(&self, _inherited: bool, _start: u64) {}
-
-        #[inline(always)]
-        pub(super) fn record_pass(&self) {}
-
-        #[inline(always)]
-        pub(super) fn record_release_up(&self, _forced: bool) {}
-
-        #[inline(always)]
-        pub(super) fn record_hint_hit(&self) {}
-    }
-
-    #[derive(Debug, Default)]
-    pub struct HoldSpan;
-
-    impl HoldSpan {
-        #[inline(always)]
-        pub(super) fn waiting(&mut self) {}
-
-        #[inline(always)]
-        pub(super) fn acquired(&mut self) {}
-
-        #[inline(always)]
-        pub(super) fn released(&mut self) {}
-
-        #[cfg(feature = "deadline")]
-        #[inline(always)]
-        pub(super) fn wait_abandoned(&mut self) {}
-    }
-}
+use crate::level::{ClofParams, LevelMeta, SpinBudget};
+#[cfg(feature = "deadline")]
+use crate::protocol::Until;
+use crate::protocol::{self, Blocking, HoldSpan, Hooks, StaticObs};
 
 /// A node of a composed lock hierarchy.
 ///
@@ -272,26 +77,13 @@ pub trait HierLock: Send + Sync + 'static {
 }
 
 /// Base case of the recursion: a bare basic lock (the system-level lock).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Leaf<L: RawLock> {
     low: L,
-    /// Spin rounds before a waiter parks ([`clof_locks::SPIN_FOREVER`]
-    /// = never park). The root has no `LevelMeta`, so it carries its own
-    /// budget cell.
-    #[cfg(feature = "park")]
-    budget: AtomicU32,
-    obs: staticobs::NodeObs,
-}
-
-impl<L: RawLock> Default for Leaf<L> {
-    fn default() -> Self {
-        Leaf {
-            low: L::default(),
-            #[cfg(feature = "park")]
-            budget: AtomicU32::new(clof_locks::SPIN_FOREVER),
-            obs: staticobs::NodeObs::default(),
-        }
-    }
+    /// Spin rounds before a waiter parks. The root has no `LevelMeta`,
+    /// so it carries its own budget cell.
+    budget: SpinBudget,
+    obs: StaticObs,
 }
 
 impl<L: RawLock> Leaf<L> {
@@ -313,13 +105,7 @@ impl<L: RawLock> Leaf<L> {
     /// No-op without the `park` feature.
     #[must_use]
     pub fn budgeted(self, hierarchy: &Hierarchy, level: usize) -> Self {
-        #[cfg(feature = "park")]
-        self.budget.store(
-            crate::level::spin_budget_for_span(hierarchy.cohort_span(level)),
-            Ordering::Relaxed,
-        );
-        #[cfg(not(feature = "park"))]
-        let _ = (hierarchy, level);
+        self.budget.derive(hierarchy, level);
         self
     }
 }
@@ -329,13 +115,7 @@ impl<L: RawLock> HierLock for Leaf<L> {
 
     #[inline]
     fn acquire(&self, ctx: &mut L::Context, _slot: u32) {
-        let start = self.obs.start();
-        #[cfg(feature = "park")]
-        self.low
-            .acquire_budgeted(ctx, self.budget.load(Ordering::Relaxed));
-        #[cfg(not(feature = "park"))]
-        self.low.acquire(ctx);
-        self.obs.record_acquire(false, start);
+        protocol::acquire_root(&self.low, ctx, &self.budget, &self.obs, Blocking);
     }
 
     #[cfg(feature = "deadline")]
@@ -346,12 +126,7 @@ impl<L: RawLock> HierLock for Leaf<L> {
         _slot: u32,
         deadline: std::time::Instant,
     ) -> bool {
-        let start = self.obs.start();
-        if !self.low.try_acquire_until(ctx, deadline) {
-            return false;
-        }
-        self.obs.record_acquire(false, start);
-        true
+        protocol::acquire_root(&self.low, ctx, &self.budget, &self.obs, Until(deadline))
     }
 
     #[inline]
@@ -393,7 +168,7 @@ pub struct Clof<L: RawLock, H: HierLock> {
     /// This node's sibling index under its parent — the stripe its
     /// upward acquires register on in the parent's read indicator.
     slot: u32,
-    obs: staticobs::NodeObs,
+    obs: StaticObs,
 }
 
 impl<L: RawLock, H: HierLock> Clof<L, H> {
@@ -416,7 +191,7 @@ impl<L: RawLock, H: HierLock> Clof<L, H> {
             meta: LevelMeta::with_fanin(params, fanin),
             high,
             slot,
-            obs: staticobs::NodeObs::default(),
+            obs: StaticObs::default(),
         }
     }
 
@@ -433,13 +208,7 @@ impl<L: RawLock, H: HierLock> Clof<L, H> {
     /// No-op without the `park` feature.
     #[must_use]
     pub fn budgeted(self, hierarchy: &Hierarchy, level: usize) -> Self {
-        #[cfg(feature = "park")]
-        self.meta
-            .set_spin_budget(crate::level::spin_budget_for_span(
-                hierarchy.cohort_span(level),
-            ));
-        #[cfg(not(feature = "park"))]
-        let _ = (hierarchy, level);
+        self.meta.budget().derive(hierarchy, level);
         self
     }
 
@@ -452,42 +221,23 @@ impl<L: RawLock, H: HierLock> Clof<L, H> {
 impl<L: RawLock, H: HierLock> HierLock for Clof<L, H> {
     type Context = L::Context;
 
-    /// `lockgen(acq(CLoF(l, L), c))` from Figure 8.
+    /// `lockgen(acq(CLoF(l, L), c))` from Figure 8, via the shared
+    /// protocol step.
     fn acquire(&self, ctx: &mut L::Context, slot: u32) {
-        // Read-indicator bracket; skipped entirely (including the
-        // counter) when the basic lock offers a native waiter hint — the
-        // paper's optional custom `has_waiters` (§4.1.2). `L::INFO` is a
-        // constant, so the branch is resolved at monomorphization time.
-        let use_counter = !has_native_hint::<L>();
-        let start = self.obs.start();
-        if use_counter {
-            self.meta.inc_waiters(slot);
-        }
-        #[cfg(feature = "park")]
-        self.low.acquire_budgeted(ctx, self.meta.spin_budget());
-        #[cfg(not(feature = "park"))]
-        self.low.acquire(ctx);
-        if use_counter {
-            self.meta.dec_waiters(slot);
-        }
-        clof_locks::chaos::point("clof-acquire-low-won");
-        self.obs.record_acquire(self.meta.has_high_lock(), start);
-        if !self.meta.has_high_lock() {
-            self.meta.debug_ctx_enter();
-            // SAFETY: We own the low lock, so the context invariant grants
-            // us exclusive use of the high context; the previous user's
-            // writes are visible via the low lock's release→acquire edge.
+        let climb = || {
+            // SAFETY: The protocol climbs only while we own the low lock,
+            // so the context invariant grants us the high context; the
+            // previous user's writes are visible via the low lock's
+            // release→acquire edge.
             let high_ctx = unsafe { self.meta.high_ctx() };
             self.high.acquire(high_ctx, self.slot);
-            self.meta.debug_ctx_exit();
-        }
+            true
+        };
+        protocol::acquire(&self.low, ctx, &self.meta, &self.obs, slot, Blocking, climb);
     }
 
-    /// Deadline-bounded replica of [`acquire`](HierLock::acquire): the
-    /// read-indicator bracket closes on both outcomes (a timed-out
-    /// waiter must leave no residue), and a failed climb releases this
-    /// level's low lock *plainly* — the pass flag was never touched, so
-    /// the successor sees a normal climb-for-yourself hand-off.
+    /// The same step under one absolute deadline; a timed-out climb
+    /// unwinds every level it won.
     #[cfg(feature = "deadline")]
     fn try_acquire_until(
         &self,
@@ -495,63 +245,21 @@ impl<L: RawLock, H: HierLock> HierLock for Clof<L, H> {
         slot: u32,
         deadline: std::time::Instant,
     ) -> bool {
-        let use_counter = !has_native_hint::<L>();
-        let start = self.obs.start();
-        if use_counter {
-            self.meta.inc_waiters(slot);
-        }
-        let won = self.low.try_acquire_until(ctx, deadline);
-        if use_counter {
-            self.meta.dec_waiters(slot);
-        }
-        if !won {
-            return false;
-        }
-        clof_locks::chaos::point("clof-acquire-low-won");
-        self.obs.record_acquire(self.meta.has_high_lock(), start);
-        if !self.meta.has_high_lock() {
-            self.meta.debug_ctx_enter();
-            // SAFETY: As in `acquire` — we own the low lock.
+        let climb = || {
+            // SAFETY: As in `acquire`.
             let high_ctx = unsafe { self.meta.high_ctx() };
-            let climbed = self.high.try_acquire_until(high_ctx, self.slot, deadline);
-            self.meta.debug_ctx_exit();
-            if !climbed {
-                self.low.release(ctx);
-                return false;
-            }
-        }
-        true
+            self.high.try_acquire_until(high_ctx, self.slot, deadline)
+        };
+        let wait = Until(deadline);
+        protocol::acquire(&self.low, ctx, &self.meta, &self.obs, slot, wait, climb)
     }
 
     /// `lockgen(rel(CLoF(l, L), c))` from Figure 8.
     fn release(&self, ctx: &mut L::Context) {
-        let hint = self.low.has_waiters_hint(ctx);
-        if hint.is_some() {
-            self.obs.record_hint_hit();
-        }
-        let waiters = hint.unwrap_or_else(|| self.meta.has_waiters());
-        if waiters && self.meta.keep_local() {
-            // Pass: leave the high lock acquired for our cohort successor.
-            self.obs.record_pass();
-            self.meta.pass_high_lock();
-            clof_locks::chaos::point("clof-release-pass");
-            self.low.release(ctx);
-        } else {
-            // `waiters` here means the decline was forced by the
-            // keep_local threshold, not by an empty cohort.
-            self.obs.record_release_up(waiters);
-            self.meta.clear_high_lock();
-            clof_locks::chaos::point("clof-release-up");
-            self.meta.debug_ctx_enter();
-            // SAFETY: As in `acquire` — we still own the low lock.
-            let high_ctx = unsafe { self.meta.high_ctx() };
-            // Release order matters (paper §4.1.3): the high lock must be
-            // released *before* the low lock, otherwise a successor could
-            // acquire the low lock and race us on the high context.
-            self.high.release(high_ctx);
-            self.meta.debug_ctx_exit();
-            self.low.release(ctx);
-        }
+        protocol::release(&self.low, ctx, &self.meta, &self.obs, || {
+            // SAFETY: As in `acquire`; we still own the low lock.
+            self.high.release(unsafe { self.meta.high_ctx() });
+        });
     }
 
     fn fair() -> bool {
@@ -575,19 +283,6 @@ impl<L: RawLock, H: HierLock> HierLock for Clof<L, H> {
         visit(level, self as *const Self as usize, &self.obs.counters);
         self.high.visit_obs(level + 1, visit);
     }
-}
-
-/// Whether `L` reports waiters natively (compile-time constant per type).
-///
-/// Reads [`LockInfo::waiter_hint`](clof_locks::LockInfo) directly, so new
-/// locks (and locks whose hint was previously missed by a name-keyed
-/// list — Anderson always answered `Some` yet used to be treated as
-/// hintless here, paying the read-indicator traffic for nothing) are
-/// classified by their own declaration. The `native_hint_matches_info`
-/// test pins the constant to the run-time behaviour for every kind.
-#[inline]
-fn has_native_hint<L: RawLock>() -> bool {
-    L::INFO.waiter_hint
 }
 
 /// A machine-wide tree of composed locks of static type `T`, one leaf node
@@ -629,7 +324,7 @@ impl<T: HierLock> ClofTree<T> {
             node: Arc::clone(&self.leaves[self.cpu_to_leaf[cpu]]),
             ctx: T::Context::default(),
             stripe: self.cpu_to_stripe[cpu],
-            hold: staticobs::HoldSpan::default(),
+            hold: HoldSpan::default(),
         }
     }
 
@@ -681,7 +376,7 @@ pub struct ClofHandle<T: HierLock> {
     node: Arc<T>,
     ctx: T::Context,
     stripe: u32,
-    hold: staticobs::HoldSpan,
+    hold: HoldSpan,
 }
 
 impl<T: HierLock> ClofHandle<T> {
@@ -895,13 +590,16 @@ mod tests {
 
     #[test]
     fn native_hint_matches_info() {
-        // Keep `LockInfo::waiter_hint` (which `has_native_hint` reads) in
-        // sync with the actual implementations: probe each lock held
-        // uncontended. Anderson is the regression case — it always
-        // answers `Some`, but a previous name-keyed version of
-        // `has_native_hint` omitted it and kept the redundant
+        // Keep `LockInfo::waiter_hint` (which the protocol's
+        // `counts_waiters` reads) in sync with the actual
+        // implementations: probe each lock held uncontended. Anderson is
+        // the regression case — it always answers `Some`, but a previous
+        // name-keyed classification omitted it and kept the redundant
         // read-indicator traffic.
         use clof_locks::{AndersonLock, BackoffLock, Hemlock, HemlockCtr, RawLock, TtasLock};
+        fn has_native_hint<L: RawLock>() -> bool {
+            !crate::protocol::LowLock::counts_waiters(&L::default())
+        }
         fn probe<L: RawLock>() -> bool {
             let lock = L::default();
             let mut ctx = L::Context::default();

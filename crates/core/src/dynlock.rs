@@ -6,332 +6,38 @@
 //! too many to monomorphize statically. A [`DynClofLock`] is a tree of
 //! [`DynNode`]s — one per cohort per level — each holding an enum-
 //! dispatched basic lock, the level metadata, and an `Arc` to its parent
-//! node. The protocol is identical to the static [`Clof`](crate::Clof).
+//! node.
+//!
+//! Handles walk the tree through one of two dispatch tiers. Both run the
+//! same shared lock-passing step (`crate::protocol`) that the static
+//! [`Clof`](crate::Clof) runs: the generic tier instantiates it with the
+//! enum-dispatched [`AnyLock`], and the finalist tier with typed chains
+//! re-resolved from the same nodes (see `fastdisp`).
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use clof_locks::{ClhLock, Hemlock, McsLock, TicketLock};
 use clof_topology::{CpuId, Hierarchy};
 
 use crate::compose::{cohort_layout, cpu_stripes};
 use crate::error::ClofError;
 use crate::kind::{AnyContext, AnyLock, LockKind};
 use crate::level::{ClofParams, LevelMeta};
+#[cfg(feature = "deadline")]
+use crate::protocol::Until;
+use crate::protocol::{self, Blocking, HoldObs, Hooks, LockObs, NodeObs, Wait};
 
-use self::fastdisp::FastTier;
-use self::nodeobs::{HoldObs, LockObs, NodeObs};
-
-/// Telemetry plumbing for the dynamic composition, in the style of the
-/// `clof-locks` chaos module: the enabled and disabled variants expose
-/// the same names, and with the `obs` feature off every type is
-/// zero-sized and every method an empty `#[inline]` body the optimizer
-/// erases — call sites stay free of `cfg` noise.
-#[cfg(feature = "obs")]
-mod nodeobs {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-
-    use clof_obs::profile::{self, NodeAcc};
-    use clof_obs::registry::{self, SiteAnchor};
-    use clof_obs::trace::{self, SpanKind};
-    use clof_obs::{
-        now_ns, thread_tag, waitgraph, watchdog, EventRing, LevelCounters, LogHistogram, PassKind,
-    };
-
-    /// Per-lock collector state shared by every node of one
-    /// [`DynClofLock`](super::DynClofLock): the pass-event ring, the
-    /// hold-time histogram, and the lock's contention-profiler site
-    /// anchor (shared so handles can attribute wait/hold to the site
-    /// even while an adaptation rebind retargets it).
-    #[derive(Debug)]
-    pub(super) struct LockObs {
-        pub(super) ring: Arc<EventRing>,
-        pub(super) hold_ns: Arc<LogHistogram>,
-        pub(super) site: Arc<SiteAnchor>,
-    }
-
-    impl LockObs {
-        pub(super) fn new(
-            label: &str,
-            shape: &str,
-            caller: &'static std::panic::Location<'static>,
-        ) -> Self {
-            // First telemetry-enabled lock in the process wires the
-            // spin-then-park recorder hooks into clof-obs.
-            #[cfg(feature = "park")]
-            crate::parkglue::install();
-            // Likewise for the deadline layer's abandon/skip counters.
-            #[cfg(feature = "deadline")]
-            crate::deadlineglue::install();
-            LockObs {
-                ring: Arc::default(),
-                hold_ns: Arc::default(),
-                site: Arc::new(registry::global().register_at(label, shape, caller)),
-            }
-        }
-    }
-
-    /// Per-node recording state: the node's level, its counters and
-    /// acquire-latency histogram, and a handle on the lock-wide ring.
-    #[derive(Debug)]
-    pub(super) struct NodeObs {
-        level: u8,
-        /// Process-unique cohort tag for the tracer (sibling cohorts
-        /// share a level; spans must not interleave across them).
-        node: u32,
-        /// Hand-off flow id parked by a pass for its inheritor. Written
-        /// under the low lock just before the release that publishes the
-        /// pass flag; read (and cleared) by the inheriting acquire — the
-        /// causality edge rides the same release→acquire synchronization
-        /// as the pass flag itself.
-        flow: AtomicU64,
-        pub(super) counters: LevelCounters,
-        pub(super) acquire_ns: LogHistogram,
-        ring: Arc<EventRing>,
-        /// The lock's profiler site (shared; rebind retargets the id).
-        site: Arc<SiteAnchor>,
-        /// This node's per-(level, node) wait accumulator in the
-        /// contention profile.
-        acc: Arc<NodeAcc>,
-    }
-
-    impl NodeObs {
-        pub(super) fn new(level: usize, lock: &LockObs) -> Self {
-            let node = trace::node_tag();
-            NodeObs {
-                level: level as u8,
-                node,
-                flow: AtomicU64::new(0),
-                counters: LevelCounters::new(),
-                acquire_ns: LogHistogram::new(),
-                ring: Arc::clone(&lock.ring),
-                acc: profile::global().register_node(lock.site.id(), level as u8, node),
-                site: Arc::clone(&lock.site),
-            }
-        }
-
-        /// The node's profile accumulator (for re-attachment after an
-        /// adaptation rebind moves the lock onto an adopted site id).
-        pub(super) fn acc(&self) -> &Arc<NodeAcc> {
-            &self.acc
-        }
-
-        /// Timestamp taken before the low-lock acquire.
-        #[inline]
-        pub(super) fn start(&self) -> u64 {
-            now_ns()
-        }
-
-        #[inline]
-        pub(super) fn record_acquire(&self, inherited: bool, start: u64) {
-            let end = now_ns();
-            self.counters.record_acquire(inherited);
-            self.acquire_ns.record(end.saturating_sub(start));
-            self.acc.record_wait(end.saturating_sub(start));
-            if trace::is_enabled() {
-                let flow_in = if inherited {
-                    self.flow.swap(0, Ordering::Relaxed)
-                } else {
-                    0
-                };
-                trace::record(
-                    start,
-                    end,
-                    self.level,
-                    self.node,
-                    SpanKind::Wait { inherited },
-                    flow_in,
-                    0,
-                );
-            }
-        }
-
-        #[inline]
-        pub(super) fn record_pass(&self) {
-            self.counters.record_pass_taken();
-            self.ring.record(self.level, PassKind::Pass, thread_tag());
-            // The inversion clock: remote-starvation detection counts
-            // local hand-offs that happened while a waiter was parked.
-            profile::global().record_pass(self.site.id());
-            if trace::is_enabled() {
-                let at = now_ns();
-                let flow = trace::next_flow_id();
-                self.flow.store(flow, Ordering::Relaxed);
-                trace::record(at, at, self.level, self.node, SpanKind::Pass, 0, flow);
-            }
-        }
-
-        #[inline]
-        pub(super) fn record_release_up(&self, threshold_hit: bool) {
-            self.counters.record_pass_declined(threshold_hit);
-            self.ring
-                .record(self.level, PassKind::ReleaseUp, thread_tag());
-            if trace::is_enabled() {
-                let at = now_ns();
-                trace::record(
-                    at,
-                    at,
-                    self.level,
-                    self.node,
-                    SpanKind::ReleaseUp {
-                        forced: threshold_hit,
-                    },
-                    0,
-                    0,
-                );
-            }
-        }
-
-        #[inline]
-        pub(super) fn record_hint_hit(&self) {
-            self.counters.record_hint_hit();
-        }
-    }
-
-    /// Critical-section hold-time tracker carried by each handle; also
-    /// publishes the thread's progress phase for the starvation
-    /// watchdog.
-    #[derive(Debug)]
-    pub(super) struct HoldObs {
-        hist: Arc<LogHistogram>,
-        site: Arc<SiteAnchor>,
-        wait_from: u64,
-        acquired_at: u64,
-    }
-
-    impl HoldObs {
-        pub(super) fn new(lock: &LockObs) -> Self {
-            HoldObs {
-                hist: Arc::clone(&lock.hold_ns),
-                site: Arc::clone(&lock.site),
-                wait_from: 0,
-                acquired_at: 0,
-            }
-        }
-
-        /// Entering the composed acquire (before any spinning).
-        #[inline]
-        pub(super) fn waiting(&mut self) {
-            self.wait_from = now_ns();
-            watchdog::note_wait(thread_tag());
-            waitgraph::note_wait(self.site.id());
-            // Parks can only happen while waiting; publish the site so
-            // the parked-duration recorder can attribute the episode.
-            #[cfg(feature = "park")]
-            crate::parkglue::enter_wait(self.site.id());
-        }
-
-        #[inline]
-        pub(super) fn acquired(&mut self) {
-            self.acquired_at = now_ns();
-            #[cfg(feature = "park")]
-            crate::parkglue::exit_wait();
-            let site = self.site.id();
-            profile::global().record_wait(site, self.acquired_at.saturating_sub(self.wait_from));
-            profile::global().record_acquire(site);
-            watchdog::note_hold(thread_tag());
-            waitgraph::note_acquired(site);
-        }
-
-        #[inline]
-        pub(super) fn released(&mut self) {
-            let end = now_ns();
-            self.hist.record(end.saturating_sub(self.acquired_at));
-            let site = self.site.id();
-            profile::global().record_hold(site, end.saturating_sub(self.acquired_at));
-            if trace::is_enabled() {
-                trace::record(self.acquired_at, end, 0, 0, SpanKind::Hold, 0, 0);
-            }
-            watchdog::note_idle(thread_tag());
-            waitgraph::note_released(site);
-        }
-
-        /// The composed acquire gave up before the lock was granted
-        /// (deadline timeout): cancel the wait edge — nothing was
-        /// acquired, so nothing joins the held set — and count the
-        /// attempt in the process-wide timeout telemetry.
-        #[cfg(feature = "deadline")]
-        #[inline]
-        pub(super) fn wait_abandoned(&mut self) {
-            #[cfg(feature = "park")]
-            crate::parkglue::exit_wait();
-            watchdog::note_idle(thread_tag());
-            waitgraph::note_wait_cancelled(self.site.id());
-            clof_obs::deadline::record_timeout();
-        }
-    }
-}
-
-#[cfg(not(feature = "obs"))]
-mod nodeobs {
-    #[derive(Debug, Default)]
-    pub(super) struct LockObs;
-
-    impl LockObs {
-        #[inline]
-        pub(super) fn new(
-            _label: &str,
-            _shape: &str,
-            _caller: &'static std::panic::Location<'static>,
-        ) -> Self {
-            LockObs
-        }
-    }
-
-    #[derive(Debug)]
-    pub(super) struct NodeObs;
-
-    impl NodeObs {
-        #[inline]
-        pub(super) fn new(_level: usize, _lock: &LockObs) -> Self {
-            NodeObs
-        }
-
-        #[inline(always)]
-        pub(super) fn start(&self) -> u64 {
-            0
-        }
-
-        #[inline(always)]
-        pub(super) fn record_acquire(&self, _inherited: bool, _start: u64) {}
-
-        #[inline(always)]
-        pub(super) fn record_pass(&self) {}
-
-        #[inline(always)]
-        pub(super) fn record_release_up(&self, _threshold_hit: bool) {}
-
-        #[inline(always)]
-        pub(super) fn record_hint_hit(&self) {}
-    }
-
-    #[derive(Debug)]
-    pub(super) struct HoldObs;
-
-    impl HoldObs {
-        #[inline]
-        pub(super) fn new(_lock: &LockObs) -> Self {
-            HoldObs
-        }
-
-        #[inline(always)]
-        pub(super) fn waiting(&mut self) {}
-
-        #[inline(always)]
-        pub(super) fn acquired(&mut self) {}
-
-        #[inline(always)]
-        pub(super) fn released(&mut self) {}
-
-        #[cfg(feature = "deadline")]
-        #[inline(always)]
-        pub(super) fn wait_abandoned(&mut self) {}
-    }
-}
+use self::fastdisp::{FastHandle, Step, Top};
 
 /// Hand-off statistics of one cohort node (relaxed counters — exact
 /// totals at quiescence, approximate snapshots while running).
+///
+/// All three counters are owner-only: bumped while holding the node's
+/// low lock, so a plain load + store replaces the locked RMW (successive
+/// owners are ordered by the lock's release→acquire edge, which also
+/// publishes the store).
 #[derive(Debug, Default)]
 struct NodeStats {
     /// Times the node's low lock was acquired through this node.
@@ -342,30 +48,26 @@ struct NodeStats {
     releases_up: AtomicU64,
 }
 
-impl NodeStats {
-    /// All three counters are owner-only: bumped while holding the
-    /// node's low lock, so a plain load + store replaces the locked RMW
-    /// (successive owners are ordered by the lock's release→acquire
-    /// edge, which also publishes the store).
+#[inline]
+fn bump(counter: &AtomicU64) {
+    let v = counter.load(Ordering::Relaxed);
+    counter.store(v + 1, Ordering::Relaxed);
+}
+
+impl Hooks for NodeStats {
     #[inline]
-    fn bump(counter: &AtomicU64) {
-        let v = counter.load(Ordering::Relaxed);
-        counter.store(v + 1, Ordering::Relaxed);
+    fn record_acquire(&self, _inherited: bool, _start: u64) {
+        bump(&self.acquisitions);
     }
 
     #[inline]
-    fn note_acquisition(&self) {
-        Self::bump(&self.acquisitions);
+    fn record_pass(&self) {
+        bump(&self.passes);
     }
 
     #[inline]
-    fn note_pass(&self) {
-        Self::bump(&self.passes);
-    }
-
-    #[inline]
-    fn note_release_up(&self) {
-        Self::bump(&self.releases_up);
+    fn record_release_up(&self, _forced: bool) {
+        bump(&self.releases_up);
     }
 }
 
@@ -403,14 +105,6 @@ pub struct DynNode {
     meta: LevelMeta<()>,
     high_ctx: UnsafeCell<Option<AnyContext>>,
     high: Option<Arc<DynNode>>,
-    /// Whether acquires must maintain the read-indicator counter. False
-    /// when the low lock natively answers `has_waiters` (the paper's
-    /// §4.1.2 custom hint, [`LockInfo::waiter_hint`]): the release path
-    /// will never consult the counter then, so maintaining it is pure
-    /// coherence traffic on the acquire fast path.
-    ///
-    /// [`LockInfo::waiter_hint`]: clof_locks::LockInfo
-    counter_waiters: bool,
     /// This node's sibling index under its parent — the stripe its
     /// upward acquires register on in the parent's read indicator.
     slot: u32,
@@ -425,193 +119,94 @@ unsafe impl Sync for DynNode {}
 // SAFETY: All owned data is `Send`.
 unsafe impl Send for DynNode {}
 
-impl DynNode {
-    fn root(kind: LockKind, params: ClofParams, fanin: usize, level: usize, obs: &LockObs) -> Self {
-        DynNode {
-            low: AnyLock::new(kind),
-            meta: LevelMeta::with_fanin(params, fanin),
-            high_ctx: UnsafeCell::new(None),
-            high: None,
-            counter_waiters: !kind.info().waiter_hint,
-            slot: 0,
-            stats: NodeStats::default(),
-            obs: NodeObs::new(level, obs),
-        }
+/// The node's recording points, shared by both dispatch tiers: the
+/// always-on hand-off counters, then telemetry.
+impl Hooks for DynNode {
+    #[inline]
+    fn start(&self) -> u64 {
+        self.obs.start()
     }
 
-    fn child(
+    #[inline]
+    fn record_acquire(&self, inherited: bool, start: u64) {
+        self.stats.record_acquire(inherited, start);
+        self.obs.record_acquire(inherited, start);
+    }
+
+    #[inline]
+    fn record_pass(&self) {
+        self.stats.record_pass();
+        self.obs.record_pass();
+    }
+
+    #[inline]
+    fn record_release_up(&self, forced: bool) {
+        self.stats.record_release_up(forced);
+        self.obs.record_release_up(forced);
+    }
+
+    #[inline]
+    fn record_hint_hit(&self) {
+        self.obs.record_hint_hit();
+    }
+}
+
+impl DynNode {
+    fn new(
         kind: LockKind,
-        high: Arc<DynNode>,
+        high: Option<Arc<DynNode>>,
         params: ClofParams,
-        fanin: usize,
-        slot: u32,
-        level: usize,
-        obs: &LockObs,
+        (fanin, slot): (usize, u32),
+        obs: NodeObs,
     ) -> Self {
-        let high_ctx = high.low.new_context();
         DynNode {
             low: AnyLock::new(kind),
             meta: LevelMeta::with_fanin(params, fanin),
-            high_ctx: UnsafeCell::new(Some(high_ctx)),
-            high: Some(high),
-            counter_waiters: !kind.info().waiter_hint,
+            high_ctx: UnsafeCell::new(high.as_ref().map(|h| h.low.new_context())),
+            high,
             slot,
             stats: NodeStats::default(),
-            obs: NodeObs::new(level, obs),
+            obs,
         }
     }
 
-    /// Acquires this node's low lock, applying the level's spin budget
-    /// when the waiting layer is compiled in (waiters spin the
-    /// topology-derived budget, then park; the releaser's wake re-runs
-    /// the full hand-off protocol, so the §4.1 invariants are untouched
-    /// — parking only changes *where* a waiter waits, never the order
-    /// grants are observed in).
-    #[inline]
-    fn low_acquire(&self, ctx: &mut AnyContext) {
-        #[cfg(feature = "park")]
-        self.low.acquire_budgeted(ctx, self.meta.spin_budget());
-        #[cfg(not(feature = "park"))]
-        self.low.acquire(ctx);
+    /// The high-lock context this node climbs through.
+    ///
+    /// # Safety
+    ///
+    /// The caller must own this node's low lock: the context invariant
+    /// then grants exclusive use, and the previous user's writes are
+    /// visible through the low lock's release→acquire synchronization.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn high_ctx(&self) -> &mut AnyContext {
+        // SAFETY: Exclusivity per the function's safety contract.
+        let cell = unsafe { &mut *self.high_ctx.get() };
+        cell.as_mut().expect("non-root nodes have a high context")
     }
 
-    /// Recursive `lockgen` acquire (paper Figure 8). `stripe` is the
-    /// caller's child position under this node (CPU index within a leaf
-    /// cohort at level 0, the child's sibling slot above).
-    fn acquire(&self, ctx: &mut AnyContext, stripe: u32) {
+    /// Recursive `lockgen` acquire (paper Figure 8) through the shared
+    /// protocol step. `stripe` is the caller's child position under
+    /// this node (CPU index within a leaf cohort at level 0, the child's
+    /// sibling slot above).
+    fn lock<W: Wait>(&self, ctx: &mut AnyContext, stripe: u32, wait: W) -> bool {
         let Some(high) = &self.high else {
-            // Base case: the system-level basic lock.
-            let start = self.obs.start();
-            self.low_acquire(ctx);
-            self.stats.note_acquisition();
-            self.obs.record_acquire(false, start);
-            return;
+            return protocol::acquire_root(&self.low, ctx, self.meta.budget(), self, wait);
         };
-        let start = self.obs.start();
-        // The read-indicator bracket is skipped entirely when the low
-        // lock natively reports waiters (paper §4.1.2) — the release
-        // path takes the hint branch unconditionally then.
-        if self.counter_waiters {
-            self.meta.inc_waiters(stripe);
-        }
-        self.low_acquire(ctx);
-        if self.counter_waiters {
-            self.meta.dec_waiters(stripe);
-        }
-        self.stats.note_acquisition();
-        // Window between winning the low lock and inspecting the pass
-        // flag left by the previous owner.
-        clof_locks::chaos::point("dyn-acquire-low-won");
-        self.obs.record_acquire(self.meta.has_high_lock(), start);
-        if !self.meta.has_high_lock() {
-            self.meta.debug_ctx_enter();
-            // SAFETY: We own the low lock; the context invariant grants
-            // exclusive use of the high context, and the previous user's
-            // writes are visible through the low lock's release→acquire
-            // synchronization.
-            let cell = unsafe { &mut *self.high_ctx.get() };
-            let high_ctx = cell.as_mut().expect("non-root nodes have a high context");
-            high.acquire(high_ctx, self.slot);
-            self.meta.debug_ctx_exit();
-        }
+        protocol::acquire(&self.low, ctx, &self.meta, self, stripe, wait, || {
+            // SAFETY: The protocol climbs only while we own the low lock.
+            high.lock(unsafe { self.high_ctx() }, self.slot, wait)
+        })
     }
 
     /// Recursive `lockgen` release (paper Figure 8).
-    fn release(&self, ctx: &mut AnyContext) {
+    fn unlock(&self, ctx: &mut AnyContext) {
         let Some(high) = &self.high else {
-            self.low.release(ctx);
-            return;
+            return self.low.release(ctx);
         };
-        let hint = self.low.has_waiters_hint(ctx);
-        if hint.is_some() {
-            self.obs.record_hint_hit();
-        }
-        let waiters = hint.unwrap_or_else(|| self.meta.has_waiters());
-        if waiters && self.meta.keep_local() {
-            self.stats.note_pass();
-            self.obs.record_pass();
-            self.meta.pass_high_lock();
-            // Window between setting the pass flag and releasing the low
-            // lock that publishes it to the successor.
-            clof_locks::chaos::point("dyn-release-pass");
-            self.low.release(ctx);
-        } else {
-            self.stats.note_release_up();
-            // `waiters` still true here means keep_local hit its
-            // threshold — a forced surrender, not an idle cohort.
-            self.obs.record_release_up(waiters);
-            self.meta.clear_high_lock();
-            clof_locks::chaos::point("dyn-release-up");
-            self.meta.debug_ctx_enter();
-            // SAFETY: As in `acquire`; we still own the low lock. Release
-            // order high → low is required by the context invariant
-            // (paper §4.1.3): releasing low first would let a successor
-            // race us on this context.
-            let cell = unsafe { &mut *self.high_ctx.get() };
-            let high_ctx = cell.as_mut().expect("non-root nodes have a high context");
-            high.release(high_ctx);
-            self.meta.debug_ctx_exit();
-            self.low.release(ctx);
-        }
-    }
-
-    /// Deadline-bounded recursive acquire: the same climb as
-    /// [`acquire`](Self::acquire) under one *absolute* deadline shared
-    /// by every level — the "single budget split across levels", with
-    /// the split decided by where contention actually burned the time
-    /// rather than a fixed per-level quota. On timeout the partially
-    /// acquired prefix is fully unwound: this thread holds the low
-    /// lock but never logically owned the tree (the pass flag is
-    /// untouched), so a *plain* low release — no pass/release-up
-    /// decision, no high-context access — restores exactly the state
-    /// the next low-lock winner expects: climb for yourself.
-    #[cfg(feature = "deadline")]
-    fn try_acquire(
-        &self,
-        ctx: &mut AnyContext,
-        stripe: u32,
-        deadline: std::time::Instant,
-    ) -> bool {
-        let Some(high) = &self.high else {
-            let start = self.obs.start();
-            if !self.low.try_acquire_until(ctx, deadline) {
-                return false;
-            }
-            self.stats.note_acquisition();
-            self.obs.record_acquire(false, start);
-            return true;
-        };
-        let start = self.obs.start();
-        if self.counter_waiters {
-            self.meta.inc_waiters(stripe);
-        }
-        let won = self.low.try_acquire_until(ctx, deadline);
-        if self.counter_waiters {
-            // Closed on both outcomes: a timed-out waiter must leave no
-            // read-indicator residue (`queue_depth_hint() == 0` at
-            // quiescence is the leak oracle).
-            self.meta.dec_waiters(stripe);
-        }
-        if !won {
-            return false;
-        }
-        self.stats.note_acquisition();
-        clof_locks::chaos::point("dyn-acquire-low-won");
-        self.obs.record_acquire(self.meta.has_high_lock(), start);
-        if !self.meta.has_high_lock() {
-            self.meta.debug_ctx_enter();
-            // SAFETY: As in `acquire` — we own the low lock, so the
-            // context invariant grants exclusive use of the high context.
-            let cell = unsafe { &mut *self.high_ctx.get() };
-            let high_ctx = cell.as_mut().expect("non-root nodes have a high context");
-            let climbed = high.try_acquire(high_ctx, self.slot, deadline);
-            self.meta.debug_ctx_exit();
-            if !climbed {
-                self.low.release(ctx);
-                return false;
-            }
-        }
-        true
+        protocol::release(&self.low, ctx, &self.meta, self, || {
+            // SAFETY: As in `lock`; we still own the low lock.
+            high.unlock(unsafe { self.high_ctx() });
+        });
     }
 
     /// This node's basic-lock kind.
@@ -720,49 +315,35 @@ impl DynClofLock {
                 .collect();
             format!("{}cpu/{}", hierarchy.ncpus(), cohorts.join("-"))
         };
-        let obs = LockObs::new(&name, &shape, std::panic::Location::caller());
+        let obs = LockObs::register(&name, &shape, std::panic::Location::caller());
         // Build from the root (outermost level) down, collecting every
         // node in construction order for the linear traversals.
         let mut all_nodes: Vec<(usize, Arc<DynNode>)> = Vec::new();
-        let root_kind = locks[levels - 1];
-        let root_fanin = cohort_layout(hierarchy, levels - 1)[0].0;
-        let mut upper: Vec<Arc<DynNode>> = vec![Arc::new(DynNode::root(
-            root_kind,
-            params[levels - 1],
-            root_fanin,
-            levels - 1,
-            &obs,
-        ))];
-        all_nodes.push((levels - 1, Arc::clone(&upper[0])));
-        for level in (0..levels - 1).rev() {
+        let mut upper: Vec<Arc<DynNode>> = Vec::new();
+        for level in (0..levels).rev() {
             let layout = cohort_layout(hierarchy, level);
-            let mut nodes = Vec::with_capacity(hierarchy.cohort_count(level));
+            let mut nodes = Vec::with_capacity(layout.len());
             for (cohort, &(fanin, slot)) in layout.iter().enumerate() {
-                let cpu = hierarchy.cohort_members(level, cohort)[0];
-                let parent_cohort = hierarchy.cohort(level + 1, cpu);
-                let node = Arc::new(DynNode::child(
+                let high = (level + 1 < levels).then(|| {
+                    let cpu = hierarchy.cohort_members(level, cohort)[0];
+                    Arc::clone(&upper[hierarchy.cohort(level + 1, cpu)])
+                });
+                // The root keeps slot 0 (`cohort_layout` gives it none).
+                let node = Arc::new(DynNode::new(
                     locks[level],
-                    Arc::clone(&upper[parent_cohort]),
+                    high,
                     params[level],
-                    fanin,
-                    slot,
-                    level,
-                    &obs,
+                    (fanin, slot),
+                    obs.node(level),
                 ));
+                // Topology-derived spin budget: each level's waiters
+                // spin inversely to the span of its cohorts before
+                // parking. Runtime-retunable via `set_spin_budget`.
+                node.meta.budget().derive(hierarchy, level);
                 all_nodes.push((level, Arc::clone(&node)));
                 nodes.push(node);
             }
             upper = nodes;
-        }
-        // Install topology-derived spin budgets: each level's waiters
-        // spin inversely to the span of its cohorts before parking
-        // (leaf/cache-local waiters longest, machine-spanning top-level
-        // waiters soonest). Runtime-retunable via `set_spin_budget`.
-        #[cfg(feature = "park")]
-        for (level, node) in &all_nodes {
-            node.meta.set_spin_budget(crate::level::spin_budget_for_span(
-                hierarchy.cohort_span(*level),
-            ));
         }
         // No handles exist yet, so the fast tier may resolve typed
         // pointers into the node-resident context cells race-free.
@@ -804,7 +385,7 @@ impl DynClofLock {
         };
         DynHandle {
             inner,
-            hold: HoldObs::new(&self.obs),
+            hold: self.obs.hold(),
         }
     }
 
@@ -819,7 +400,7 @@ impl DynClofLock {
         let leaf = Arc::clone(&self.leaves[self.cpu_to_leaf[cpu]]);
         DynHandle {
             inner: HandleInner::generic(leaf, self.cpu_to_stripe[cpu]),
-            hold: HoldObs::new(&self.obs),
+            hold: self.obs.hold(),
         }
     }
 
@@ -1099,529 +680,277 @@ pub enum DispatchTier {
 /// of finalists, and those pay the per-op `AnyLock`/`AnyContext` match
 /// on every level transition for no reason. This module re-types the
 /// *already built* enum tree for the finalist shapes: at construction
-/// (before any handle exists) it resolves typed pointers to each level's
-/// lock and node-resident high context, and handles then run a
-/// statically-dispatched replica of `DynNode::acquire`/`release` —
-/// identical protocol, same shared state, same chaos points — behind
-/// the same `DynClofLock` API. Fast and generic handles interoperate on
-/// one lock because neither owns any protocol state privately.
+/// (before any handle exists) it resolves a typed chain per leaf —
+/// pointers to each level's node and lock and to the node-resident high
+/// contexts — and handles then run the shared protocol step with typed
+/// low locks, on the same node state as the enum tree. Fast and generic
+/// handles interoperate on one lock because neither owns any protocol
+/// state privately.
+///
+/// A chain is recursive like the static composition: [`Step`] is one
+/// level below a chain, [`Top`] the system-level lock, so every depth
+/// comes from the same two definitions.
 mod fastdisp {
     use std::ptr::NonNull;
     use std::sync::Arc;
 
-    use clof_locks::{ClhLock, Hemlock, McsLock, TicketLock};
+    use super::DynNode;
+    use crate::kind::TypedLock;
+    use crate::protocol::{self, Wait};
 
-    use super::{DynNode, HandleInner};
-    use crate::kind::{LockKind, TypedLock};
+    /// A resolved typed chain from one node up to the root.
+    ///
+    /// Chains hold raw pointers into the `DynClofLock`'s `Arc` chain of
+    /// nodes; handles pin that chain through their leaf `Arc`. The
+    /// node-resident contexts are dereferenced only while owning the
+    /// level below them (the context invariant), exactly the discipline
+    /// `DynNode`'s own `Sync` impl relies on.
+    pub(super) trait Chain: Copy {
+        /// The chain's bottom lock.
+        type Low: TypedLock;
 
-    /// Typed pointers for one level of a finalist chain.
-    struct Level<L: TypedLock> {
+        /// Resolves the chain from `node` up; `None` (generic fallback)
+        /// if a level's kind fails to downcast or the depth differs.
+        /// Must run before any handle exists: it takes pointers into
+        /// the context cells.
+        fn resolve(node: &Arc<DynNode>) -> Option<Self>;
+
+        /// # Safety
+        ///
+        /// The chain's nodes must be alive, and `ctx` must be owned by
+        /// the caller (a handle's own context, or a node-resident one
+        /// while owning the level below).
+        unsafe fn lock<W: Wait>(
+            &self,
+            ctx: &mut <Self::Low as clof_locks::RawLock>::Context,
+            stripe: u32,
+            wait: W,
+        ) -> bool;
+
+        /// # Safety
+        ///
+        /// As [`lock`](Chain::lock), while holding the chain through `ctx`.
+        unsafe fn unlock(&self, ctx: &mut <Self::Low as clof_locks::RawLock>::Context);
+    }
+
+    /// The system-level lock: the chain's base case.
+    pub(super) struct Top<L> {
         node: NonNull<DynNode>,
         lock: NonNull<L>,
     }
 
-    impl<L: TypedLock> Clone for Level<L> {
-        fn clone(&self) -> Self {
-            Level {
-                node: self.node,
-                lock: self.lock,
-            }
-        }
+    /// Level `L` below the chain `H`, with the node-resident context `H`
+    /// is acquired through.
+    pub(super) struct Step<L: TypedLock, H: Chain> {
+        node: NonNull<DynNode>,
+        lock: NonNull<L>,
+        high: H,
+        high_ctx: NonNull<<H::Low as clof_locks::RawLock>::Context>,
     }
 
-    impl<L: TypedLock> Level<L> {
+    impl<L> Clone for Top<L> {
+        fn clone(&self) -> Self {
+            *self
+        }
+    }
+    impl<L> Copy for Top<L> {}
+    impl<L: TypedLock, H: Chain> Clone for Step<L, H> {
+        fn clone(&self) -> Self {
+            *self
+        }
+    }
+    impl<L: TypedLock, H: Chain> Copy for Step<L, H> {}
+
+    // SAFETY: Every field is a pointer into the lock's node tree: `node`
+    // and `lock` are only read through (nodes are `Sync`), and
+    // `high_ctx` is dereferenced only under the context invariant (see
+    // `Chain`); `high` is a chain with the same properties.
+    unsafe impl<L: TypedLock> Send for Top<L> {}
+    unsafe impl<L: TypedLock> Sync for Top<L> {}
+    unsafe impl<L: TypedLock, H: Chain> Send for Step<L, H> {}
+    unsafe impl<L: TypedLock, H: Chain> Sync for Step<L, H> {}
+
+    impl<L: TypedLock> Chain for Top<L> {
+        type Low = L;
+
         fn resolve(node: &Arc<DynNode>) -> Option<Self> {
-            Some(Level {
+            if node.high.is_some() {
+                return None;
+            }
+            Some(Top {
                 node: NonNull::from(&**node),
                 lock: NonNull::from(L::from_any(&node.low)?),
             })
         }
-    }
 
-    /// Resolved 3-level template for one leaf: node/lock pointers per
-    /// level plus the node-resident contexts the upper levels are
-    /// acquired through. Contexts live inside `DynNode::high_ctx` cells
-    /// (stable addresses behind `Arc`s) and are only dereferenced while
-    /// owning the level below, per the context invariant.
-    pub(super) struct Fast3<L0: TypedLock, L1: TypedLock, L2: TypedLock> {
-        l0: Level<L0>,
-        l1: Level<L1>,
-        c1: NonNull<L1::Context>,
-        l2: Level<L2>,
-        c2: NonNull<L2::Context>,
-    }
+        #[inline]
+        unsafe fn lock<W: Wait>(&self, ctx: &mut L::Context, _stripe: u32, wait: W) -> bool {
+            // SAFETY: The caller guarantees the chain's nodes are alive.
+            let (node, lock) = unsafe { (self.node.as_ref(), self.lock.as_ref()) };
+            protocol::acquire_root(lock, ctx, node.meta.budget(), node, wait)
+        }
 
-    impl<L0: TypedLock, L1: TypedLock, L2: TypedLock> Clone for Fast3<L0, L1, L2> {
-        fn clone(&self) -> Self {
-            Fast3 {
-                l0: self.l0.clone(),
-                l1: self.l1.clone(),
-                c1: self.c1,
-                l2: self.l2.clone(),
-                c2: self.c2,
-            }
+        #[inline]
+        unsafe fn unlock(&self, ctx: &mut L::Context) {
+            // SAFETY: As in `lock`.
+            clof_locks::RawLock::release(unsafe { self.lock.as_ref() }, ctx);
         }
     }
 
-    // SAFETY: The pointers target nodes owned by the `DynClofLock`'s
-    // `Arc` chain (handles additionally pin the chain through their leaf
-    // `Arc`), and the context cells are accessed only under the context
-    // invariant — exactly the discipline `DynNode`'s own `Sync` impl
-    // relies on.
-    unsafe impl<L0: TypedLock, L1: TypedLock, L2: TypedLock> Send for Fast3<L0, L1, L2> {}
-    unsafe impl<L0: TypedLock, L1: TypedLock, L2: TypedLock> Sync for Fast3<L0, L1, L2> {}
+    impl<L: TypedLock, H: Chain> Chain for Step<L, H> {
+        type Low = L;
 
-    impl<L0: TypedLock, L1: TypedLock, L2: TypedLock> Fast3<L0, L1, L2> {
-        /// Resolves the typed template for `leaf`'s 3-level chain.
-        ///
-        /// Must run before any handle exists (no concurrent context
-        /// users); returns `None` — generic fallback — if any level's
-        /// kind fails to downcast or the chain depth is not 3.
-        fn resolve(leaf: &Arc<DynNode>) -> Option<Self> {
-            let l0 = Level::<L0>::resolve(leaf)?;
-            let mid = leaf.high.as_ref()?;
-            let l1 = Level::<L1>::resolve(mid)?;
-            // SAFETY: construction-time exclusive access (no handles yet).
-            let c1 = unsafe { &mut *leaf.high_ctx.get() };
-            let c1 = NonNull::from(L1::ctx_from_any(c1.as_mut()?)?);
-            let root = mid.high.as_ref()?;
-            if root.high.is_some() {
-                return None;
-            }
-            let l2 = Level::<L2>::resolve(root)?;
-            // SAFETY: as above.
-            let c2 = unsafe { &mut *mid.high_ctx.get() };
-            let c2 = NonNull::from(L2::ctx_from_any(c2.as_mut()?)?);
-            Some(Fast3 {
-                l0,
-                l1,
-                c1,
-                l2,
-                c2,
+        fn resolve(node: &Arc<DynNode>) -> Option<Self> {
+            let high = H::resolve(node.high.as_ref()?)?;
+            // SAFETY: Construction-time exclusive access (no handles yet).
+            let cell = unsafe { &mut *node.high_ctx.get() };
+            Some(Step {
+                node: NonNull::from(&**node),
+                lock: NonNull::from(L::from_any(&node.low)?),
+                high,
+                high_ctx: NonNull::from(H::Low::ctx_from_any(cell.as_mut()?)?),
             })
         }
-    }
 
-    /// Resolved 2-level template, same contract as [`Fast3`].
-    pub(super) struct Fast2<L0: TypedLock, L1: TypedLock> {
-        l0: Level<L0>,
-        l1: Level<L1>,
-        c1: NonNull<L1::Context>,
-    }
-
-    impl<L0: TypedLock, L1: TypedLock> Clone for Fast2<L0, L1> {
-        fn clone(&self) -> Self {
-            Fast2 {
-                l0: self.l0.clone(),
-                l1: self.l1.clone(),
-                c1: self.c1,
-            }
+        #[inline]
+        unsafe fn lock<W: Wait>(&self, ctx: &mut L::Context, stripe: u32, wait: W) -> bool {
+            // SAFETY: The caller guarantees the chain's nodes are alive.
+            let (node, lock) = unsafe { (self.node.as_ref(), self.lock.as_ref()) };
+            let climb = || {
+                // SAFETY: The protocol climbs only while we own this
+                // level, which makes the high context ours.
+                let high_ctx = unsafe { &mut *self.high_ctx.as_ptr() };
+                // SAFETY: The caller's liveness guarantee covers the chain.
+                unsafe { self.high.lock(high_ctx, node.slot, wait) }
+            };
+            protocol::acquire(lock, ctx, &node.meta, node, stripe, wait, climb)
         }
-    }
 
-    // SAFETY: See `Fast3`.
-    unsafe impl<L0: TypedLock, L1: TypedLock> Send for Fast2<L0, L1> {}
-    unsafe impl<L0: TypedLock, L1: TypedLock> Sync for Fast2<L0, L1> {}
-
-    impl<L0: TypedLock, L1: TypedLock> Fast2<L0, L1> {
-        fn resolve(leaf: &Arc<DynNode>) -> Option<Self> {
-            let l0 = Level::<L0>::resolve(leaf)?;
-            let root = leaf.high.as_ref()?;
-            if root.high.is_some() {
-                return None;
-            }
-            let l1 = Level::<L1>::resolve(root)?;
-            // SAFETY: construction-time exclusive access (no handles yet).
-            let c1 = unsafe { &mut *leaf.high_ctx.get() };
-            let c1 = NonNull::from(L1::ctx_from_any(c1.as_mut()?)?);
-            Some(Fast2 { l0, l1, c1 })
+        #[inline]
+        unsafe fn unlock(&self, ctx: &mut L::Context) {
+            // SAFETY: As in `lock`.
+            let (node, lock) = unsafe { (self.node.as_ref(), self.lock.as_ref()) };
+            let climb = || {
+                // SAFETY: As in `lock`; high before low (§4.1.3).
+                let high_ctx = unsafe { &mut *self.high_ctx.as_ptr() };
+                // SAFETY: As above.
+                unsafe { self.high.unlock(high_ctx) }
+            };
+            protocol::release(lock, ctx, &node.meta, node, climb);
         }
     }
 
-    /// Statically-dispatched replica of `DynNode::acquire`'s inductive
-    /// case: identical step order on the same shared node state, with
-    /// the `counter_waiters` branch resolved at monomorphization
-    /// (`L::INFO.waiter_hint` matches the node's flag by construction).
-    /// `climb` acquires the next level up.
-    #[inline]
-    fn acquire_level<L: TypedLock>(
-        node: &DynNode,
-        lock: &L,
-        ctx: &mut L::Context,
-        stripe: u32,
-        climb: impl FnOnce(),
-    ) {
-        let start = node.obs.start();
-        if !L::INFO.waiter_hint {
-            node.meta.inc_waiters(stripe);
-        }
-        #[cfg(feature = "park")]
-        lock.acquire_budgeted(ctx, node.meta.spin_budget());
-        #[cfg(not(feature = "park"))]
-        lock.acquire(ctx);
-        if !L::INFO.waiter_hint {
-            node.meta.dec_waiters(stripe);
-        }
-        node.stats.note_acquisition();
-        clof_locks::chaos::point("dyn-acquire-low-won");
-        node.obs.record_acquire(node.meta.has_high_lock(), start);
-        if !node.meta.has_high_lock() {
-            node.meta.debug_ctx_enter();
-            climb();
-            node.meta.debug_ctx_exit();
-        }
-    }
-
-    /// Base case: the system-level basic lock.
-    #[inline]
-    fn acquire_root<L: TypedLock>(node: &DynNode, lock: &L, ctx: &mut L::Context) {
-        let start = node.obs.start();
-        #[cfg(feature = "park")]
-        lock.acquire_budgeted(ctx, node.meta.spin_budget());
-        #[cfg(not(feature = "park"))]
-        lock.acquire(ctx);
-        node.stats.note_acquisition();
-        node.obs.record_acquire(false, start);
-    }
-
-    /// Statically-dispatched replica of `DynNode::release`'s inductive
-    /// case; `climb` releases the next level up (taken on release-up
-    /// only, before the low release — paper §4.1.3 order).
-    #[inline]
-    fn release_level<L: TypedLock>(
-        node: &DynNode,
-        lock: &L,
-        ctx: &mut L::Context,
-        climb: impl FnOnce(),
-    ) {
-        let hint = lock.has_waiters_hint(ctx);
-        if hint.is_some() {
-            node.obs.record_hint_hit();
-        }
-        let waiters = hint.unwrap_or_else(|| node.meta.has_waiters());
-        if waiters && node.meta.keep_local() {
-            node.stats.note_pass();
-            node.obs.record_pass();
-            node.meta.pass_high_lock();
-            clof_locks::chaos::point("dyn-release-pass");
-            lock.release(ctx);
-        } else {
-            node.stats.note_release_up();
-            node.obs.record_release_up(waiters);
-            node.meta.clear_high_lock();
-            clof_locks::chaos::point("dyn-release-up");
-            node.meta.debug_ctx_enter();
-            climb();
-            node.meta.debug_ctx_exit();
-            lock.release(ctx);
-        }
-    }
-
-    /// Deadline-bounded replica of [`acquire_level`]: `climb` returns
-    /// whether the upper levels were won; on a local timeout or a
-    /// failed climb the level unwinds (waiter bracket closed, low lock
-    /// plainly released — the pass flag was never touched) and reports
-    /// `false` down the chain.
-    #[cfg(feature = "deadline")]
-    #[inline]
-    fn try_acquire_level<L: TypedLock>(
-        node: &DynNode,
-        lock: &L,
-        ctx: &mut L::Context,
-        stripe: u32,
-        deadline: std::time::Instant,
-        climb: impl FnOnce() -> bool,
-    ) -> bool {
-        let start = node.obs.start();
-        if !L::INFO.waiter_hint {
-            node.meta.inc_waiters(stripe);
-        }
-        let won = lock.try_acquire_until(ctx, deadline);
-        if !L::INFO.waiter_hint {
-            node.meta.dec_waiters(stripe);
-        }
-        if !won {
-            return false;
-        }
-        node.stats.note_acquisition();
-        clof_locks::chaos::point("dyn-acquire-low-won");
-        node.obs.record_acquire(node.meta.has_high_lock(), start);
-        if !node.meta.has_high_lock() {
-            node.meta.debug_ctx_enter();
-            let climbed = climb();
-            node.meta.debug_ctx_exit();
-            if !climbed {
-                lock.release(ctx);
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Deadline-bounded replica of [`acquire_root`].
-    #[cfg(feature = "deadline")]
-    #[inline]
-    fn try_acquire_root<L: TypedLock>(
-        node: &DynNode,
-        lock: &L,
-        ctx: &mut L::Context,
-        deadline: std::time::Instant,
-    ) -> bool {
-        let start = node.obs.start();
-        if !lock.try_acquire_until(ctx, deadline) {
-            return false;
-        }
-        node.stats.note_acquisition();
-        node.obs.record_acquire(false, start);
-        true
-    }
-
-    /// Per-thread fast handle over a [`Fast3`] template: owns the leaf
+    /// Per-thread fast handle over a resolved chain: owns the leaf
     /// context and its indicator stripe; the leaf `Arc` pins the whole
     /// chain (each node holds its parent).
-    pub(super) struct Fast3Handle<L0: TypedLock, L1: TypedLock, L2: TypedLock> {
-        t: Fast3<L0, L1, L2>,
-        ctx0: L0::Context,
+    pub(super) struct FastHandle<C: Chain> {
+        chain: C,
+        ctx: <C::Low as clof_locks::RawLock>::Context,
         stripe: u32,
         _leaf: Arc<DynNode>,
     }
 
-    impl<L0: TypedLock, L1: TypedLock, L2: TypedLock> Fast3Handle<L0, L1, L2> {
-        pub(super) fn new(t: &Fast3<L0, L1, L2>, leaf: Arc<DynNode>, stripe: u32) -> Self {
-            Fast3Handle {
-                t: t.clone(),
-                ctx0: L0::Context::default(),
+    impl<C: Chain> FastHandle<C> {
+        pub(super) fn new(chain: &C, leaf: Arc<DynNode>, stripe: u32) -> Self {
+            FastHandle {
+                chain: *chain,
+                ctx: Default::default(),
                 stripe,
                 _leaf: leaf,
             }
         }
 
         #[inline]
-        pub(super) fn acquire(&mut self) {
-            // SAFETY: Node and lock pointers are pinned by `_leaf`'s
-            // parent chain; the upper contexts are dereferenced only
-            // inside the `climb` closures, i.e. while owning the level
-            // below them (context invariant), and `debug_ctx_enter`
-            // still guards the bracket in testkit/debug builds.
-            unsafe {
-                let n0 = self.t.l0.node.as_ref();
-                let n1 = self.t.l1.node.as_ref();
-                let n2 = self.t.l2.node.as_ref();
-                let (l1, l2) = (self.t.l1.lock.as_ref(), self.t.l2.lock.as_ref());
-                let (c1, c2) = (self.t.c1, self.t.c2);
-                acquire_level(n0, self.t.l0.lock.as_ref(), &mut self.ctx0, self.stripe, || {
-                    acquire_level(n1, l1, &mut *c1.as_ptr(), n0.slot, || {
-                        acquire_root(n2, l2, &mut *c2.as_ptr());
-                    });
-                });
-            }
-        }
-
-        #[cfg(feature = "deadline")]
-        #[inline]
-        pub(super) fn try_acquire(&mut self, deadline: std::time::Instant) -> bool {
-            // SAFETY: See `acquire`. On the unwind paths each level
-            // releases only what its own frame won (after its climb
-            // reported failure), so ownership never outlives the frame
-            // that took it and the contexts stay bracketed.
-            unsafe {
-                let n0 = self.t.l0.node.as_ref();
-                let n1 = self.t.l1.node.as_ref();
-                let n2 = self.t.l2.node.as_ref();
-                let (l1, l2) = (self.t.l1.lock.as_ref(), self.t.l2.lock.as_ref());
-                let (c1, c2) = (self.t.c1, self.t.c2);
-                try_acquire_level(
-                    n0,
-                    self.t.l0.lock.as_ref(),
-                    &mut self.ctx0,
-                    self.stripe,
-                    deadline,
-                    || {
-                        try_acquire_level(n1, l1, &mut *c1.as_ptr(), n0.slot, deadline, || {
-                            try_acquire_root(n2, l2, &mut *c2.as_ptr(), deadline)
-                        })
-                    },
-                )
-            }
+        pub(super) fn lock<W: Wait>(&mut self, wait: W) -> bool {
+            // SAFETY: `_leaf` pins the chain; the context is ours.
+            unsafe { self.chain.lock(&mut self.ctx, self.stripe, wait) }
         }
 
         #[inline]
-        pub(super) fn release(&mut self) {
-            // SAFETY: As in `acquire`; release climbs only while still
-            // owning the lower level (high before low, paper §4.1.3).
-            unsafe {
-                let n0 = self.t.l0.node.as_ref();
-                let n1 = self.t.l1.node.as_ref();
-                let (l1, l2) = (self.t.l1.lock.as_ref(), self.t.l2.lock.as_ref());
-                let (c1, c2) = (self.t.c1, self.t.c2);
-                release_level(n0, self.t.l0.lock.as_ref(), &mut self.ctx0, || {
-                    release_level(n1, l1, &mut *c1.as_ptr(), || {
-                        l2.release(&mut *c2.as_ptr());
-                    });
-                });
-            }
-        }
-    }
-
-    /// Per-thread fast handle over a [`Fast2`] template.
-    pub(super) struct Fast2Handle<L0: TypedLock, L1: TypedLock> {
-        t: Fast2<L0, L1>,
-        ctx0: L0::Context,
-        stripe: u32,
-        _leaf: Arc<DynNode>,
-    }
-
-    impl<L0: TypedLock, L1: TypedLock> Fast2Handle<L0, L1> {
-        pub(super) fn new(t: &Fast2<L0, L1>, leaf: Arc<DynNode>, stripe: u32) -> Self {
-            Fast2Handle {
-                t: t.clone(),
-                ctx0: L0::Context::default(),
-                stripe,
-                _leaf: leaf,
-            }
-        }
-
-        #[inline]
-        pub(super) fn acquire(&mut self) {
-            // SAFETY: See `Fast3Handle::acquire`.
-            unsafe {
-                let n0 = self.t.l0.node.as_ref();
-                let n1 = self.t.l1.node.as_ref();
-                let l1 = self.t.l1.lock.as_ref();
-                let c1 = self.t.c1;
-                acquire_level(n0, self.t.l0.lock.as_ref(), &mut self.ctx0, self.stripe, || {
-                    acquire_root(n1, l1, &mut *c1.as_ptr());
-                });
-            }
-        }
-
-        #[cfg(feature = "deadline")]
-        #[inline]
-        pub(super) fn try_acquire(&mut self, deadline: std::time::Instant) -> bool {
-            // SAFETY: See `Fast3Handle::try_acquire`.
-            unsafe {
-                let n0 = self.t.l0.node.as_ref();
-                let n1 = self.t.l1.node.as_ref();
-                let l1 = self.t.l1.lock.as_ref();
-                let c1 = self.t.c1;
-                try_acquire_level(
-                    n0,
-                    self.t.l0.lock.as_ref(),
-                    &mut self.ctx0,
-                    self.stripe,
-                    deadline,
-                    || try_acquire_root(n1, l1, &mut *c1.as_ptr(), deadline),
-                )
-            }
-        }
-
-        #[inline]
-        pub(super) fn release(&mut self) {
-            // SAFETY: See `Fast3Handle::release`.
-            unsafe {
-                let n0 = self.t.l0.node.as_ref();
-                let l1 = self.t.l1.lock.as_ref();
-                let c1 = self.t.c1;
-                release_level(n0, self.t.l0.lock.as_ref(), &mut self.ctx0, || {
-                    l1.release(&mut *c1.as_ptr());
-                });
-            }
-        }
-    }
-
-    /// The finalist set: one pre-resolved template vector (indexed by
-    /// leaf) per composition `select` ships — the HC/LC winners from
-    /// EXPERIMENTS.md plus the homogeneous shapes the stress oracle
-    /// leans on.
-    pub(super) enum FastTier {
-        McsClhTkt(Vec<Fast3<McsLock, ClhLock, TicketLock>>),
-        ClhClhTkt(Vec<Fast3<ClhLock, ClhLock, TicketLock>>),
-        ClhClhHem(Vec<Fast3<ClhLock, ClhLock, Hemlock>>),
-        TktTktTkt(Vec<Fast3<TicketLock, TicketLock, TicketLock>>),
-        TktTkt(Vec<Fast2<TicketLock, TicketLock>>),
-        McsTkt(Vec<Fast2<McsLock, TicketLock>>),
-        ClhTkt(Vec<Fast2<ClhLock, TicketLock>>),
-    }
-
-    impl FastTier {
-        /// Resolves the fast tier for `locks` if it is a finalist shape;
-        /// `None` keeps the generic enum dispatch. Must be called during
-        /// lock construction, before any handle exists.
-        pub(super) fn resolve(leaves: &[Arc<DynNode>], locks: &[LockKind]) -> Option<FastTier> {
-            use LockKind::{Clh, Hemlock as Hem, Mcs, Ticket};
-            fn all3<L0: TypedLock, L1: TypedLock, L2: TypedLock>(
-                leaves: &[Arc<DynNode>],
-            ) -> Option<Vec<Fast3<L0, L1, L2>>> {
-                leaves.iter().map(Fast3::resolve).collect()
-            }
-            fn all2<L0: TypedLock, L1: TypedLock>(
-                leaves: &[Arc<DynNode>],
-            ) -> Option<Vec<Fast2<L0, L1>>> {
-                leaves.iter().map(Fast2::resolve).collect()
-            }
-            match locks {
-                [Mcs, Clh, Ticket] => Some(FastTier::McsClhTkt(all3(leaves)?)),
-                [Clh, Clh, Ticket] => Some(FastTier::ClhClhTkt(all3(leaves)?)),
-                [Clh, Clh, Hem] => Some(FastTier::ClhClhHem(all3(leaves)?)),
-                [Ticket, Ticket, Ticket] => Some(FastTier::TktTktTkt(all3(leaves)?)),
-                [Ticket, Ticket] => Some(FastTier::TktTkt(all2(leaves)?)),
-                [Mcs, Ticket] => Some(FastTier::McsTkt(all2(leaves)?)),
-                [Clh, Ticket] => Some(FastTier::ClhTkt(all2(leaves)?)),
-                _ => None,
-            }
-        }
-
-        /// Builds the fast handle for `leaf_idx`.
-        pub(super) fn handle(
-            &self,
-            leaf_idx: usize,
-            leaf: Arc<DynNode>,
-            stripe: u32,
-        ) -> HandleInner {
-            match self {
-                FastTier::McsClhTkt(t) => {
-                    HandleInner::McsClhTkt(Fast3Handle::new(&t[leaf_idx], leaf, stripe))
-                }
-                FastTier::ClhClhTkt(t) => {
-                    HandleInner::ClhClhTkt(Fast3Handle::new(&t[leaf_idx], leaf, stripe))
-                }
-                FastTier::ClhClhHem(t) => {
-                    HandleInner::ClhClhHem(Fast3Handle::new(&t[leaf_idx], leaf, stripe))
-                }
-                FastTier::TktTktTkt(t) => {
-                    HandleInner::TktTktTkt(Fast3Handle::new(&t[leaf_idx], leaf, stripe))
-                }
-                FastTier::TktTkt(t) => {
-                    HandleInner::TktTkt(Fast2Handle::new(&t[leaf_idx], leaf, stripe))
-                }
-                FastTier::McsTkt(t) => {
-                    HandleInner::McsTkt(Fast2Handle::new(&t[leaf_idx], leaf, stripe))
-                }
-                FastTier::ClhTkt(t) => {
-                    HandleInner::ClhTkt(Fast2Handle::new(&t[leaf_idx], leaf, stripe))
-                }
-            }
+        pub(super) fn unlock(&mut self) {
+            // SAFETY: As in `lock`; called only while held.
+            unsafe { self.chain.unlock(&mut self.ctx) }
         }
     }
 }
 
-/// Dispatch state of one handle: either the generic enum walk or a
-/// monomorphized finalist walk.
-enum HandleInner {
-    Generic {
-        leaf: Arc<DynNode>,
-        ctx: AnyContext,
-        stripe: u32,
-    },
-    McsClhTkt(fastdisp::Fast3Handle<clof_locks::McsLock, clof_locks::ClhLock, clof_locks::TicketLock>),
-    ClhClhTkt(fastdisp::Fast3Handle<clof_locks::ClhLock, clof_locks::ClhLock, clof_locks::TicketLock>),
-    ClhClhHem(fastdisp::Fast3Handle<clof_locks::ClhLock, clof_locks::ClhLock, clof_locks::Hemlock>),
-    TktTktTkt(
-        fastdisp::Fast3Handle<clof_locks::TicketLock, clof_locks::TicketLock, clof_locks::TicketLock>,
-    ),
-    TktTkt(fastdisp::Fast2Handle<clof_locks::TicketLock, clof_locks::TicketLock>),
-    McsTkt(fastdisp::Fast2Handle<clof_locks::McsLock, clof_locks::TicketLock>),
-    ClhTkt(fastdisp::Fast2Handle<clof_locks::ClhLock, clof_locks::TicketLock>),
+/// Lists the finalist compositions once — the HC/LC winners from
+/// EXPERIMENTS.md plus the homogeneous shapes the stress oracle leans
+/// on — each with the typed chain its handles run, and generates the
+/// per-leaf chain table ([`FastTier`]) and the handle dispatch
+/// ([`HandleInner`]) from that list.
+macro_rules! finalists {
+    ($($name:ident: [$($kind:ident),+] => $chain:ty,)+) => {
+        /// One pre-resolved chain per leaf, for a finalist composition.
+        enum FastTier {
+            $($name(Vec<$chain>),)+
+        }
+
+        /// Dispatch state of one handle: the generic enum walk or one
+        /// finalist chain.
+        enum HandleInner {
+            Generic {
+                leaf: Arc<DynNode>,
+                ctx: AnyContext,
+                stripe: u32,
+            },
+            $($name(FastHandle<$chain>),)+
+        }
+
+        impl FastTier {
+            /// Resolves the fast tier for `locks` if it is a finalist
+            /// shape; `None` keeps the generic enum dispatch. Must be
+            /// called during lock construction, before any handle exists.
+            fn resolve(leaves: &[Arc<DynNode>], locks: &[LockKind]) -> Option<FastTier> {
+                use fastdisp::Chain;
+                match locks {
+                    $([$(LockKind::$kind),+] => Some(FastTier::$name(
+                        leaves.iter().map(<$chain>::resolve).collect::<Option<_>>()?,
+                    )),)+
+                    _ => None,
+                }
+            }
+
+            /// Builds the fast handle for `leaf_idx`.
+            fn handle(&self, leaf_idx: usize, leaf: Arc<DynNode>, stripe: u32) -> HandleInner {
+                match self {
+                    $(FastTier::$name(t) => {
+                        HandleInner::$name(FastHandle::new(&t[leaf_idx], leaf, stripe))
+                    })+
+                }
+            }
+        }
+
+        impl HandleInner {
+            /// The only per-op dispatch: one match at the handle, not
+            /// one per level transition.
+            #[inline]
+            fn lock<W: Wait>(&mut self, wait: W) -> bool {
+                match self {
+                    HandleInner::Generic { leaf, ctx, stripe } => leaf.lock(ctx, *stripe, wait),
+                    $(HandleInner::$name(h) => h.lock(wait),)+
+                }
+            }
+
+            #[inline]
+            fn unlock(&mut self) {
+                match self {
+                    HandleInner::Generic { leaf, ctx, .. } => leaf.unlock(ctx),
+                    $(HandleInner::$name(h) => h.unlock(),)+
+                }
+            }
+        }
+    };
+}
+
+finalists! {
+    McsClhTkt: [Mcs, Clh, Ticket] => Step<McsLock, Step<ClhLock, Top<TicketLock>>>,
+    ClhClhTkt: [Clh, Clh, Ticket] => Step<ClhLock, Step<ClhLock, Top<TicketLock>>>,
+    ClhClhHem: [Clh, Clh, Hemlock] => Step<ClhLock, Step<ClhLock, Top<Hemlock>>>,
+    TktTktTkt: [Ticket, Ticket, Ticket] => Step<TicketLock, Step<TicketLock, Top<TicketLock>>>,
+    TktTkt: [Ticket, Ticket] => Step<TicketLock, Top<TicketLock>>,
+    McsTkt: [Mcs, Ticket] => Step<McsLock, Top<TicketLock>>,
+    ClhTkt: [Clh, Ticket] => Step<ClhLock, Top<TicketLock>>,
 }
 
 impl HandleInner {
@@ -1642,18 +971,7 @@ impl DynHandle {
     /// Acquires the composed lock.
     pub fn acquire(&mut self) {
         self.hold.waiting();
-        // The only per-op dispatch: one match at the handle, not one per
-        // level transition.
-        match &mut self.inner {
-            HandleInner::Generic { leaf, ctx, stripe } => leaf.acquire(ctx, *stripe),
-            HandleInner::McsClhTkt(h) => h.acquire(),
-            HandleInner::ClhClhTkt(h) => h.acquire(),
-            HandleInner::ClhClhHem(h) => h.acquire(),
-            HandleInner::TktTktTkt(h) => h.acquire(),
-            HandleInner::TktTkt(h) => h.acquire(),
-            HandleInner::McsTkt(h) => h.acquire(),
-            HandleInner::ClhTkt(h) => h.acquire(),
-        }
+        self.inner.lock(Blocking);
         self.hold.acquired();
     }
 
@@ -1665,16 +983,7 @@ impl DynHandle {
     #[cfg(feature = "deadline")]
     pub fn try_acquire_until(&mut self, deadline: std::time::Instant) -> bool {
         self.hold.waiting();
-        let won = match &mut self.inner {
-            HandleInner::Generic { leaf, ctx, stripe } => leaf.try_acquire(ctx, *stripe, deadline),
-            HandleInner::McsClhTkt(h) => h.try_acquire(deadline),
-            HandleInner::ClhClhTkt(h) => h.try_acquire(deadline),
-            HandleInner::ClhClhHem(h) => h.try_acquire(deadline),
-            HandleInner::TktTktTkt(h) => h.try_acquire(deadline),
-            HandleInner::TktTkt(h) => h.try_acquire(deadline),
-            HandleInner::McsTkt(h) => h.try_acquire(deadline),
-            HandleInner::ClhTkt(h) => h.try_acquire(deadline),
-        };
+        let won = self.inner.lock(Until(deadline));
         if won {
             self.hold.acquired();
         } else {
@@ -1695,16 +1004,7 @@ impl DynHandle {
     /// Must only be called while held through this handle.
     pub fn release(&mut self) {
         self.hold.released();
-        match &mut self.inner {
-            HandleInner::Generic { leaf, ctx, .. } => leaf.release(ctx),
-            HandleInner::McsClhTkt(h) => h.release(),
-            HandleInner::ClhClhTkt(h) => h.release(),
-            HandleInner::ClhClhHem(h) => h.release(),
-            HandleInner::TktTktTkt(h) => h.release(),
-            HandleInner::TktTkt(h) => h.release(),
-            HandleInner::McsTkt(h) => h.release(),
-            HandleInner::ClhTkt(h) => h.release(),
-        }
+        self.inner.unlock();
     }
 }
 
@@ -2344,7 +1644,7 @@ mod tests {
     fn deadline_timeout_unwinds_fast_tier_and_generic() {
         let h = platforms::tiny();
         // (Mcs, Clh, Ticket) is a finalist: `handle` exercises the
-        // monomorphized Fast3 path, `handle_generic` the enum walk.
+        // monomorphized chain, `handle_generic` the enum walk.
         let lock = Arc::new(
             DynClofLock::build(&h, &[LockKind::Mcs, LockKind::Clh, LockKind::Ticket]).unwrap(),
         );

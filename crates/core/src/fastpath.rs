@@ -31,7 +31,7 @@ use crate::error::ClofError;
 use crate::kind::LockKind;
 use crate::level::ClofParams;
 
-/// Telemetry for the TAS gate, paired like `dynlock::nodeobs`: ZST
+/// Telemetry for the TAS gate, as paired obs/no-obs variants: ZST
 /// no-ops without the `obs` feature.
 ///
 /// The gate emits `Gate` spans (acquire entry → gate won, flagged

@@ -83,6 +83,52 @@ pub fn spin_budget_for_span(span: usize) -> u32 {
     (BASE_SPIN_ROUNDS / span).clamp(MIN_SPIN_ROUNDS, BASE_SPIN_ROUNDS)
 }
 
+/// One level's spin-then-park budget cell: backoff rounds a waiter
+/// spins on the low lock before parking. Zero-sized without `park`,
+/// where every wait spins until granted.
+#[derive(Debug)]
+pub(crate) struct SpinBudget {
+    #[cfg(feature = "park")]
+    rounds: AtomicU32,
+}
+
+#[allow(clippy::derivable_impls)] // derivable only without `park`
+impl Default for SpinBudget {
+    fn default() -> Self {
+        SpinBudget {
+            #[cfg(feature = "park")]
+            rounds: AtomicU32::new(clof_locks::SPIN_FOREVER),
+        }
+    }
+}
+
+impl SpinBudget {
+    /// The current budget. Relaxed: in-flight waiters may use either
+    /// value; the budget shapes the spin/park trade-off, never
+    /// correctness.
+    #[cfg(feature = "park")]
+    #[inline]
+    pub(crate) fn get(&self) -> u32 {
+        self.rounds.load(Ordering::Relaxed)
+    }
+
+    /// Retunes the budget.
+    #[cfg(feature = "park")]
+    #[inline]
+    pub(crate) fn set(&self, rounds: u32) {
+        self.rounds.store(rounds, Ordering::Relaxed);
+    }
+
+    /// Derives the budget from the topology span of `level`: the wider
+    /// the cohort, the sooner its waiters park. No-op without `park`.
+    pub(crate) fn derive(&self, hierarchy: &clof_topology::Hierarchy, level: usize) {
+        #[cfg(feature = "park")]
+        self.set(spin_budget_for_span(hierarchy.cohort_span(level)));
+        #[cfg(not(feature = "park"))]
+        let _ = (hierarchy, level);
+    }
+}
+
 /// Owner-written metadata words; packed into one [`CachePadded`] block.
 struct OwnerState<C> {
     /// The `has_high_lock` flag: set by `pass_high_lock`, cleared by
@@ -131,8 +177,7 @@ pub struct LevelMeta<C> {
     /// so `adapt` can carry the waiting policy across hot-swaps.
     /// Read-mostly (written only by tuning), so it lives outside the
     /// owner block and off the stripes.
-    #[cfg(feature = "park")]
-    spin_budget: AtomicU32,
+    spin_budget: SpinBudget,
     /// Owner-only words, isolated from the waiter stripes.
     owner: CachePadded<OwnerState<C>>,
 }
@@ -162,8 +207,7 @@ impl<C: Default> LevelMeta<C> {
                 .map(|_| CachePadded::new(AtomicU32::new(0)))
                 .collect(),
             stripe_mask: stripes as u32 - 1,
-            #[cfg(feature = "park")]
-            spin_budget: AtomicU32::new(clof_locks::SPIN_FOREVER),
+            spin_budget: SpinBudget::default(),
             owner: CachePadded::new(OwnerState {
                 high_held: AtomicBool::new(false),
                 handovers: AtomicU32::new(0),
@@ -318,7 +362,7 @@ impl<C> LevelMeta<C> {
     #[cfg(feature = "park")]
     #[inline]
     pub fn spin_budget(&self) -> u32 {
-        self.spin_budget.load(Ordering::Relaxed)
+        self.spin_budget.get()
     }
 
     /// Retunes this level's spin budget at runtime. Relaxed is enough:
@@ -327,7 +371,13 @@ impl<C> LevelMeta<C> {
     #[cfg(feature = "park")]
     #[inline]
     pub fn set_spin_budget(&self, rounds: u32) {
-        self.spin_budget.store(rounds, Ordering::Relaxed);
+        self.spin_budget.set(rounds);
+    }
+
+    /// This level's budget cell, as the lock-passing protocol reads it.
+    #[inline]
+    pub(crate) fn budget(&self) -> &SpinBudget {
+        &self.spin_budget
     }
 
     /// The configured keep-local threshold.

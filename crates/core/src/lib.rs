@@ -22,12 +22,17 @@
 //!   to be monomorphized to benchmark a 4-level hierarchy with 4 basic
 //!   locks.
 //!
-//! Both flavours implement the same protocol (paper Figure 8):
-//! `inc_waiters`/`dec_waiters`/`has_waiters` read-indicator (skipped when
-//! the basic lock has a native waiter hint), `keep_local` threshold
-//! counting, `pass_high_lock`/`clear_high_lock`/`has_high_lock` flag
-//! hand-off, and the **release order** (high before low) that the context
-//! invariant requires.
+//! Both flavours run one body of the lock-passing protocol (paper
+//! Figure 8), written once in the crate-private `protocol` module and
+//! instantiated three times — by the static `Clof`/`Leaf` recursion, by
+//! the enum-dispatched `DynNode` tree, and by the dynamic tree's
+//! monomorphized finalist chains: the `inc_waiters`/`dec_waiters`/
+//! `has_waiters` read-indicator (skipped when the basic lock has a
+//! native waiter hint), `keep_local` threshold counting,
+//! `pass_high_lock`/`clear_high_lock`/`has_high_lock` flag hand-off, the
+//! **release order** (high before low) that the context invariant
+//! requires, and the deadline unwind. A fix to that step covers all
+//! three users.
 //!
 //! # Quick start
 //!
@@ -64,11 +69,13 @@ pub mod generator;
 pub mod kind;
 pub mod level;
 pub mod mutex;
+#[cfg(feature = "obs")]
+mod telemetry;
 #[cfg(all(feature = "deadline", feature = "obs"))]
 mod deadlineglue;
 #[cfg(all(feature = "park", feature = "obs"))]
 mod parkglue;
-pub mod rwlock;
+mod protocol;
 pub mod select;
 
 #[cfg(feature = "adapt")]
@@ -81,7 +88,6 @@ pub use generator::{compositions, composition_name, generate_all, parse_composit
 pub use kind::LockKind;
 pub use level::{ClofParams, MAX_WAITER_STRIPES};
 pub use mutex::{ClofMutex, ClofMutexGuard, ClofMutexHandle};
-pub use rwlock::{ClofRwLock, ClofRwWriter};
 pub use select::{rank, scripted_benchmark, BenchResult, CandidateObs, Policy, Selection};
 
 /// Re-export of the telemetry crate (`obs` feature only), so downstream

@@ -140,16 +140,38 @@ pub(crate) fn on_skip() {
 // ---------------------------------------------------------------------
 
 /// Seeded forced-timeout stream, in the style of [`crate::chaos`]: when
-/// enabled, each deadline wait round consults a global SplitMix64 stream
-/// and, with probability `1/denom`, *pretends the deadline expired* —
-/// which is the only way to open abandonment races (a waiter giving up
-/// exactly as the grant lands) deterministically on a fast host. The
-/// same caveats as chaos apply: decisions are a pure function of seed
-/// and global arrival order, so a seed replays a failure class, not an
-/// exact trace.
+/// enabled, each deadline wait round on an [`enrolled`] thread consults
+/// a global SplitMix64 stream and, with probability `1/denom`,
+/// *pretends the deadline expired* — which is the only way to open
+/// abandonment races (a waiter giving up exactly as the grant lands)
+/// deterministically on a fast host. The same caveats as chaos apply:
+/// decisions are a pure function of seed and global arrival order, so a
+/// seed replays a failure class, not an exact trace.
+///
+/// Only enrolled threads are injected, so a run that asks for forced
+/// timeouts cannot cut short the real-clock waits of another test
+/// running concurrently in the same process.
 #[cfg(any(test, feature = "testkit"))]
 pub mod forced {
+    use std::cell::Cell;
     use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+
+    thread_local! {
+        static ENROLLED: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Runs `body` with this thread's deadline polls enrolled in the
+    /// stream (restored on return and on unwind).
+    pub fn enrolled<R>(body: impl FnOnce() -> R) -> R {
+        struct Restore(bool);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                ENROLLED.with(|e| e.set(self.0));
+            }
+        }
+        let _restore = Restore(ENROLLED.with(|e| e.replace(true)));
+        body()
+    }
 
     static ENABLED: AtomicBool = AtomicBool::new(false);
     static STATE: AtomicU64 = AtomicU64::new(0);
@@ -192,7 +214,7 @@ pub mod forced {
 
     #[inline]
     pub(super) fn fire(_site: &'static str) -> bool {
-        if !ENABLED.load(Ordering::Relaxed) {
+        if !ENABLED.load(Ordering::Relaxed) || !ENROLLED.with(Cell::get) {
             return false;
         }
         fire_cold()
@@ -276,13 +298,10 @@ mod tests {
         }
         forced::configure(7, 2);
         assert!(forced::is_enabled());
-        let mut fired = false;
-        for _ in 0..10_000 {
-            if p.expired() {
-                fired = true;
-                break;
-            }
+        for _ in 0..100 {
+            assert!(!p.expired(), "threads that did not enroll are exempt");
         }
+        let fired = forced::enrolled(|| (0..10_000).any(|_| p.expired()));
         assert!(fired, "no forced timeout in 10k polls at p=1/2");
         assert!(forced::fires() > 0);
         forced::disable();

@@ -10,8 +10,11 @@
 //! oracle drives [`clof_locks::chaos`]:
 //!
 //! * [`with_forced_timeouts`] — configures the stream for one seeded
-//!   run and reports how many timeouts were forced. Injection state is
-//!   process-global, so runs are serialized behind a module mutex.
+//!   run and reports how many timeouts were forced. The stream is
+//!   process-global, so runs are serialized behind a module mutex; it
+//!   only injects threads that enrolled (the caller of
+//!   `with_forced_timeouts` and [`TimedHandle`] attempts), so other
+//!   tests' deadline waits keep their real clocks.
 //! * [`TimedHandle`] — wraps any [`DeadlineHandle`] so the stress
 //!   oracle's *blocking* `acquire` becomes a retry loop of seeded,
 //!   microsecond-scale `try_acquire_until` attempts. Every failed
@@ -80,14 +83,15 @@ fn forced_guard() -> MutexGuard<'static, ()> {
 pub fn with_forced_timeouts<R>(seed: u64, denom: u32, body: impl FnOnce() -> R) -> (R, u64) {
     let _guard = forced_guard();
     forced::configure(seed, denom);
-    let out = body();
+    let out = forced::enrolled(body);
     let fires = forced::fires();
     forced::disable();
     (out, fires)
 }
 
 /// Drives a [`DeadlineHandle`] through the blocking-oracle interface as
-/// a retry loop of seeded bounded attempts.
+/// a retry loop of seeded bounded attempts, each enrolled in the
+/// forced-timeout stream.
 ///
 /// Each `acquire` draws a per-attempt budget from
 /// `[budget_micros / 2, budget_micros]` and retries until an attempt
@@ -120,7 +124,7 @@ impl<H: DeadlineHandle> OracleHandle for TimedHandle<H> {
             let lo = self.budget_micros / 2;
             let us = lo + self.rng.below(self.budget_micros - lo + 1);
             let deadline = Instant::now() + Duration::from_micros(us);
-            if self.inner.try_acquire_until(deadline) {
+            if forced::enrolled(|| self.inner.try_acquire_until(deadline)) {
                 return;
             }
             self.timeouts.fetch_add(1, Ordering::Relaxed);

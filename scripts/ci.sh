@@ -6,7 +6,10 @@
 #   2. the clof-testkit unit suite (property engine + oracle self-tests)
 #      and the default-feature unit suites of clof-locks, clof-core and
 #      clof-kvstore (the default grant path — a plain store, polled after
-#      every pause — is neither the `park` nor the `deadline` one);
+#      every pause — is neither the `park` nor the `deadline` one), plus
+#      the clof-core suite under `obs` (the telemetry hooks of the shared
+#      lock-passing step) and under `park,deadline` (its budgeted and
+#      deadline-bounded waits together);
 #   3. a 16-seed smoke subset of the schedule-fuzzing stress oracle;
 #   4. the default-build `clof` binary, asserted free of tracer symbols
 #      (the "traceEvents" exporter string only exists behind `obs`) —
@@ -82,6 +85,8 @@ phase "tier-1 test suite" cargo test -q
 phase "testkit unit suite" cargo test -q -p clof-testkit
 phase "default locks unit suite" cargo test -q -p clof-locks
 phase "default core suite" cargo test -q -p clof-core
+phase "core suite (obs)" cargo test -q -p clof-core --features obs
+phase "core suite (park,deadline)" cargo test -q -p clof-core --features park,deadline
 phase "default kvstore suite" cargo test -q -p clof-kvstore
 
 # Memory-layout assertions are `const _: () = assert!(...)` blocks in

@@ -197,6 +197,83 @@ fn oracle_mixed_tier_handles_on_one_lock() {
     );
 }
 
+/// Runs one static-composition cell: {4,8} threads × `SEEDS_PER_CELL`
+/// fuzzed runs on `tree`, spread across its hierarchy's CPUs.
+fn static_cell<T: clof::HierLock>(
+    hierarchy: &Hierarchy,
+    seed_base: u64,
+    tree: Result<clof::ClofTree<T>, clof::ClofError>,
+) {
+    let tree = Arc::new(tree.expect("static composition builds"));
+    for threads in [4usize, 8] {
+        let n = hierarchy.ncpus();
+        let cpus: Vec<usize> = (0..threads).map(|t| t * n / threads).collect();
+        let seeds = seed_batch(seed_base ^ threads as u64, SEEDS_PER_CELL);
+        let opts = StressOptions {
+            threads,
+            iters: ITERS,
+            label: format!("static:{}×{}t", tree.name(), threads),
+            ..StressOptions::default()
+        };
+        let outcome = fuzz_seeds(&opts, &seeds, |_seed, tid| tree.handle(cpus[tid]));
+        outcome.assert_passed();
+        assert_eq!(
+            outcome.total_acquisitions,
+            SEEDS_PER_CELL as u64 * threads as u64 * ITERS
+        );
+    }
+}
+
+/// Schedule-fuzzed matrix over the static `Clof`/`Leaf` composition:
+/// the finalist shapes built with `build2`/`build3`, plus one 4-level
+/// `build4` tree. The static tree runs the same protocol step as the
+/// enum tree and the finalist chains, and must uphold the same oracle
+/// invariants. A small keep-local threshold makes forced releases-up
+/// happen within a run, not only when a cohort drains.
+#[test]
+fn oracle_matrix_static_compositions() {
+    use clof::compose::{build2, build3, build4};
+    use clof_locks::{ClhLock, Hemlock, McsLock, TicketLock};
+    let p = ClofParams {
+        keep_local_threshold: 4,
+    };
+    let h2 = build_regular(&[2]);
+    let h3 = build_regular(&[2, 4]);
+    let h4 = build_regular(&[2, 4, 8]);
+    assert_eq!(
+        (h2.level_count(), h3.level_count(), h4.level_count()),
+        (2, 3, 4)
+    );
+    static_cell(
+        &h3,
+        0x57A7_3100,
+        build3::<McsLock, ClhLock, TicketLock>(&h3, p),
+    );
+    static_cell(
+        &h3,
+        0x57A7_3200,
+        build3::<ClhLock, ClhLock, TicketLock>(&h3, p),
+    );
+    static_cell(
+        &h3,
+        0x57A7_3300,
+        build3::<ClhLock, ClhLock, Hemlock>(&h3, p),
+    );
+    static_cell(
+        &h3,
+        0x57A7_3400,
+        build3::<TicketLock, TicketLock, TicketLock>(&h3, p),
+    );
+    static_cell(&h2, 0x57A7_2100, build2::<TicketLock, TicketLock>(&h2, p));
+    static_cell(&h2, 0x57A7_2200, build2::<McsLock, TicketLock>(&h2, p));
+    static_cell(&h2, 0x57A7_2300, build2::<ClhLock, TicketLock>(&h2, p));
+    static_cell(
+        &h4,
+        0x57A7_4100,
+        build4::<McsLock, ClhLock, ClhLock, TicketLock>(&h4, p),
+    );
+}
+
 /// Keep-local H-bound regression (schedule-fuzzed): `keep_local`'s
 /// handover counter is owner-only (plain load + store under the low
 /// lock), and that must still enforce the paper's bound — between two
